@@ -7,10 +7,12 @@
  *
  * Emits bench_results/BENCH_fft.json with three sections:
  *  - "single_thread": per-size scalar vs SIMD timings of the fused
- *    fft2 + Hadamard + ifft2 pass, run strictly serially. Gate: >= 1.5x
- *    at 512x512 when the SIMD kernel set is compiled in.
+ *    fft2 + Hadamard + ifft2 pass, run strictly serially (96^2 is the
+ *    2^5 * 3 mixed-radix grid of the 96x96 training workload). Gate:
+ *    >= 1.5x at 512x512 when the SIMD kernel set is compiled in.
  *  - "one_d": per-length 1-D plan timings covering the radix-2/4
- *    (pow-2), generic mixed-radix, and Bluestein code paths.
+ *    (pow-2), radix-3-outermost (2^k * 3), generic mixed-radix, and
+ *    Bluestein code paths.
  *  - "row_parallel": fft2 wall time with 1/2/4-worker pools. The scaling
  *    gate (>= 1.3x at 4 workers) only applies when the host has >= 4
  *    hardware threads, so single-CPU runners report without failing.
@@ -114,7 +116,7 @@ main()
     // Section 1: single-thread kernel speedup on the fused hot path.
     // ----------------------------------------------------------------
     const std::size_t gate_size = 512;
-    std::vector<std::size_t> sizes{128, 256, gate_size};
+    std::vector<std::size_t> sizes{96, 128, 256, gate_size};
     if (benchFullScale())
         sizes.push_back(1024);
 
@@ -175,6 +177,8 @@ main()
         std::size_t n;
     };
     std::vector<OneD> lengths{{"radix24_pow2", 512},
+                              {"mixed_radix_96", 96},
+                              {"mixed_radix_192", 192},
                               {"mixed_radix", 500},
                               {"bluestein_prime", 509}};
     std::printf("\n1-D plan forward (batch of 512 transforms)\n");

@@ -33,25 +33,27 @@ factorize(std::size_t n)
 }
 
 /**
- * Radix sequence for the SIMD engine: pairs of 2s fuse into radix-4
+ * Radix sequence for the SIMD engine, outermost level first: the odd
+ * prime factors, largest first, then pairs of 2s fused into radix-4
  * levels (half the combine passes over the dominant power-of-two part),
- * any leftover 2 and the odd prime factors follow unchanged.
+ * then any leftover 2. Radix-2/3/4 levels run specialized butterflies;
+ * odd radices go outermost because every SoA kernel vectorizes over the
+ * m = n_level / p unit-stride lanes of its level, and m is widest at the
+ * top. An odd radix innermost would run at m = 1: one scalar combine per
+ * block. The largest (costliest generic) radix gets the widest level.
+ * Power-of-two lengths keep the plain [4, ..., 4, (2)] sequence.
  */
 std::vector<std::size_t>
 groupFactorsForSimd(const std::vector<std::size_t> &factors)
 {
-    std::size_t twos = 0;
-    std::vector<std::size_t> grouped;
-    for (std::size_t p : factors) {
-        if (p == 2)
-            ++twos;
-        else
-            grouped.push_back(p);
-    }
-    std::vector<std::size_t> out(twos / 2, 4);
+    const auto twos = static_cast<std::size_t>(
+        std::count(factors.begin(), factors.end(), std::size_t(2)));
+    // factorize() lists primes ascending, so reversed and minus the
+    // trailing 2s this is the odd factors, largest first.
+    std::vector<std::size_t> out(factors.rbegin(), factors.rend() - twos);
+    out.insert(out.end(), twos / 2, 4);
     if (twos % 2 != 0)
         out.push_back(2);
-    out.insert(out.end(), grouped.begin(), grouped.end());
     return out;
 }
 
@@ -121,7 +123,7 @@ struct FftPlan::Impl
     //  - simd_tw holds p-1 unit-stride sub-tables of length m each,
     //    tw[(j-1)*m + k] = exp(-j*2*pi*(j*k)/n_level), j in 1..p-1;
     //  - simd_dft holds the p*p DFT matrix exp(-j*2*pi*t*j/p) for the
-    //    generic-radix kernel (unused for the specialized p = 2 and 4).
+    //    generic-radix kernel (unused for the specialized p = 2, 3, 4).
     std::vector<std::size_t> simd_factors;
     std::vector<std::vector<Real>> simd_tw_re, simd_tw_im;
     std::vector<std::vector<Real>> simd_dft_re, simd_dft_im;
@@ -190,7 +192,7 @@ FftPlan::Impl::buildSimdTables()
         simd_tw_im.push_back(std::move(tw_im));
 
         std::vector<Real> dft_re, dft_im;
-        if (p != 2 && p != 4) {
+        if (p > 4) {
             dft_re.resize(p * p);
             dft_im.resize(p * p);
             for (std::size_t t = 0; t < p; ++t)
@@ -321,6 +323,10 @@ FftPlan::Impl::combineSoa(Real *re, Real *im, std::size_t n_cur,
 
     if (p == 2) {
         kernels::radix2Pass(re, im, tw_re, tw_im, m_cur);
+        return;
+    }
+    if (p == 3) {
+        kernels::radix3Pass(re, im, tw_re, tw_im, m_cur);
         return;
     }
     if (p == 4) {

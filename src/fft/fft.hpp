@@ -15,9 +15,13 @@
  *    threads; per-call scratch lives in thread-local storage.
  *  - Inner loops run through the kernel-dispatch layer (fft/kernels.hpp):
  *    the default Simd mode executes split real/imag structure-of-arrays
- *    butterflies (radix-2/4 specialized, generic radix through SoA
- *    twiddle products) and vectorized chirp/Hadamard products; Scalar
- *    mode keeps the original std::complex loops as the bit-reference.
+ *    butterflies (radix-2/3/4 specialized, odd radices outermost, generic
+ *    radix 5..31 through SoA twiddle products) and vectorized
+ *    chirp/Hadamard products; Scalar mode keeps the original
+ *    std::complex loops as the bit-reference. Odd radices go outermost
+ *    because a level's butterflies vectorize over its unit-stride vector
+ *    length m = n_level / p, which is widest at the top; innermost, an
+ *    odd radix would run one scalar combine per block at m = 1.
  *  - Fft2d shards the independent 1-D row and column transforms of one
  *    large grid across the process thread pool (row-parallel FFT2). The
  *    split is deterministic: results are bitwise-identical to the serial

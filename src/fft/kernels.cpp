@@ -74,6 +74,35 @@ radix2Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
 }
 
 void
+radix3Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
+           std::size_t m)
+{
+    // W_3 = -1/2 - j*sin(pi/3) (forward sign convention).
+    constexpr Real kSin60 = Real(0.866025403784438646763723170752936183);
+    const Real *t1r = tw_re, *t1i = tw_im;
+    const Real *t2r = tw_re + m, *t2i = tw_im + m;
+    LR_SIMD_LOOP
+    for (std::size_t k = 0; k < m; ++k) {
+        Real a0r = re[k], a0i = im[k];
+        Real x1r = re[m + k], x1i = im[m + k];
+        Real x2r = re[2 * m + k], x2i = im[2 * m + k];
+        Real a1r = x1r * t1r[k] - x1i * t1i[k];
+        Real a1i = x1r * t1i[k] + x1i * t1r[k];
+        Real a2r = x2r * t2r[k] - x2i * t2i[k];
+        Real a2i = x2r * t2i[k] + x2i * t2r[k];
+        Real sr = a1r + a2r, si = a1i + a2i;
+        Real dr = (a1r - a2r) * kSin60, di = (a1i - a2i) * kSin60;
+        Real mr = a0r - Real(0.5) * sr, mi = a0i - Real(0.5) * si;
+        re[k] = a0r + sr;
+        im[k] = a0i + si;
+        re[m + k] = mr + di;
+        im[m + k] = mi - dr;
+        re[2 * m + k] = mr - di;
+        im[2 * m + k] = mi + dr;
+    }
+}
+
+void
 radix4Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
            std::size_t m)
 {

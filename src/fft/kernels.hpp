@@ -96,6 +96,14 @@ void radix2Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
                 std::size_t m);
 
 /**
+ * Radix-3 butterfly pass over one combine block of length 3m.
+ * Twiddle arrays hold two unit-stride sub-tables of length m each:
+ * tw_re[j*m + k] = Re(W_{3m}^{(j+1)k}) for j in {0,1}.
+ */
+void radix3Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
+                std::size_t m);
+
+/**
  * Radix-4 butterfly pass over one combine block of length 4m.
  * Twiddle arrays hold three unit-stride sub-tables of length m each:
  * tw_re[j*m + k] = Re(W_{4m}^{(j+1)k}) for j in {0,1,2}.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 namespace lightridge {
 
@@ -234,6 +235,16 @@ dumpString(const std::string &s, std::ostringstream &out)
 void
 dumpNumber(double n, std::ostringstream &out)
 {
+    // JSON has no NaN/Inf literal: printing one ("nan", "inf") yields a
+    // document parse() rejects, e.g. a diverged model's checkpoint that
+    // nobody can load. Refuse instead; undefined fields write null.
+    if (!std::isfinite(n)) {
+        char buf[16];
+        std::snprintf(buf, sizeof(buf), "%g", n);
+        throw std::domain_error(
+            std::string("Json::dump: non-finite number ") + buf +
+            " has no JSON representation");
+    }
     if (n == std::floor(n) && std::abs(n) < 1e15) {
         out << static_cast<long long>(n);
     } else {
@@ -328,10 +339,13 @@ Json::load(const std::string &path)
 bool
 Json::save(const std::string &path) const
 {
+    // Serialize before opening: a non-finite number throws here and must
+    // not leave a truncated file in place of the previous one.
+    const std::string text = pretty();
     std::ofstream out(path);
     if (!out)
         return false;
-    out << pretty() << '\n';
+    out << text << '\n';
     return static_cast<bool>(out);
 }
 

@@ -108,10 +108,14 @@ class Json
         array_.push_back(std::move(value));
     }
 
-    /** Serialize to a compact JSON string. */
+    /**
+     * Serialize to a compact JSON string. Throws std::domain_error naming
+     * the value when a number is NaN or infinite (JSON cannot represent
+     * it); a legitimately undefined field should hold null instead.
+     */
     std::string dump() const;
 
-    /** Serialize with 2-space indentation. */
+    /** Serialize with 2-space indentation; throws like dump(). */
     std::string pretty(int indent = 0) const;
 
     /** Parse a JSON document; throws JsonError on malformed input. */
@@ -120,7 +124,10 @@ class Json
     /** Load/parse a JSON file; throws JsonError on failure. */
     static Json load(const std::string &path);
 
-    /** Write pretty-printed JSON to a file. @return false on I/O failure. */
+    /**
+     * Write pretty-printed JSON to a file. @return false on I/O failure.
+     * Throws like dump() before touching the file.
+     */
     bool save(const std::string &path) const;
 
   private:

@@ -68,12 +68,14 @@ TEST_P(FftSizeTest, ParsevalHolds)
 }
 
 // Mixed-radix smooth sizes, awkward sizes, primes (Bluestein), paper sizes.
+// 48/96/192 (2^k * 3, radix-3 outermost), 186 (2 * 3 * 31, the largest
+// direct radix) and 210 (2 * 3 * 5 * 7) pin the odd-radix plan orders.
 INSTANTIATE_TEST_SUITE_P(
     Sizes, FftSizeTest,
     ::testing::Values<std::size_t>(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 20,
-                                   25, 27, 28, 32, 35, 49, 50, 64, 81, 100,
-                                   101, 121, 125, 127, 128, 200, 243, 251,
-                                   256, 350, 500));
+                                   25, 27, 28, 32, 35, 48, 49, 50, 64, 81,
+                                   96, 100, 101, 121, 125, 127, 128, 186,
+                                   192, 200, 210, 243, 251, 256, 350, 500));
 
 TEST(Fft, ImpulseGivesFlatSpectrum)
 {

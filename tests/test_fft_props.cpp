@@ -21,6 +21,7 @@
 
 #include "fft/fft.hpp"
 #include "fft/kernels.hpp"
+#include "optics/propagator.hpp"
 #include "oracle/dft_oracle.hpp"
 #include "utils/rng.hpp"
 #include "utils/thread_pool.hpp"
@@ -36,6 +37,16 @@ randomSignal(std::size_t n, uint64_t seed)
     for (auto &v : x)
         v = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
     return x;
+}
+
+Field
+randomUnitField(std::size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    Field f(n, n);
+    for (std::size_t i = 0; i < f.size(); ++i)
+        f[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    return f;
 }
 
 /**
@@ -277,6 +288,70 @@ TEST_F(ScalarVsSimd, HadamardWithinPinnedTolerance)
         simd_conj.hadamardConj(b);
     }
     EXPECT_LE(maxAbsDiff(scalar_conj, simd_conj), kFftKernelTolerance);
+}
+
+/** 96 = 2^5 * 3 runs the radix-3-outermost plan on rows and columns. */
+TEST_F(ScalarVsSimd, Fft2d96ForwardInverseWithinPinnedTolerance)
+{
+    const std::size_t n = 96;
+    const Real bound = kFftKernelTolerance * static_cast<Real>(n);
+    Fft2d fft(n, n);
+    Field scalar = randomUnitField(n, 96);
+    Field simd = scalar;
+    {
+        FftKernelModeGuard guard(FftKernelMode::Scalar);
+        fft.forward(&scalar);
+    }
+    {
+        FftKernelModeGuard guard(FftKernelMode::Simd);
+        fft.forward(&simd);
+    }
+    EXPECT_LE(maxAbsDiff(scalar, simd), bound) << "forward";
+
+    // Inverse of the same (scalar) spectrum under each kernel set.
+    Field simd_back = scalar;
+    {
+        FftKernelModeGuard guard(FftKernelMode::Scalar);
+        fft.inverse(&scalar);
+    }
+    {
+        FftKernelModeGuard guard(FftKernelMode::Simd);
+        fft.inverse(&simd_back);
+    }
+    EXPECT_LE(maxAbsDiff(scalar, simd_back), bound) << "inverse";
+}
+
+/**
+ * A 96^2 hop through the propagator's in-place paths: pad 1 transforms at
+ * 96 (2^5 * 3), pad 2 at 192 (2^6 * 3).
+ */
+TEST_F(ScalarVsSimd, Propagator96IntoPathsWithinPinnedTolerance)
+{
+    const std::size_t n = 96;
+    const Real bound = kFftKernelTolerance * static_cast<Real>(n);
+    const Field input = randomUnitField(n, 196);
+    PropagationWorkspace workspace;
+    for (std::size_t pad : {std::size_t(1), std::size_t(2)}) {
+        PropagatorConfig config;
+        config.grid = Grid{n, 36e-6};
+        config.distance = 0.05;
+        config.pad_factor = pad;
+        Propagator prop(config);
+
+        Field scalar_fwd, simd_fwd, scalar_adj, simd_adj;
+        {
+            FftKernelModeGuard guard(FftKernelMode::Scalar);
+            prop.forwardInto(input, scalar_fwd, workspace);
+            prop.adjointInto(input, scalar_adj, workspace);
+        }
+        {
+            FftKernelModeGuard guard(FftKernelMode::Simd);
+            prop.forwardInto(input, simd_fwd, workspace);
+            prop.adjointInto(input, simd_adj, workspace);
+        }
+        EXPECT_LE(maxAbsDiff(scalar_fwd, simd_fwd), bound) << "pad=" << pad;
+        EXPECT_LE(maxAbsDiff(scalar_adj, simd_adj), bound) << "pad=" << pad;
+    }
 }
 
 /** Row-parallel FFT2 must be bitwise-identical to the serial split. */

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "utils/json.hpp"
 
@@ -112,6 +115,54 @@ TEST(Json, SaveLoadRoundTrip)
     ASSERT_TRUE(j.save(path));
     Json k = Json::load(path);
     EXPECT_DOUBLE_EQ(k.at("k").asNumber(), 3.5);
+    std::remove(path.c_str());
+}
+
+/**
+ * JSON has no NaN/Inf literal, so dumping one must fail loudly rather than
+ * write a document parse() rejects; an explicit null round-trips.
+ */
+TEST(Json, NonFiniteNumbersRefuseToDumpAndNullRoundTrips)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {nan, inf, -inf}) {
+        Json j;
+        j["w"] = Json(Json::Array{Json(1.5), Json(bad)});
+        EXPECT_THROW(j.dump(), std::domain_error);
+        EXPECT_THROW(j.pretty(), std::domain_error);
+    }
+    try {
+        Json(nan).dump();
+        FAIL() << "NaN dumped without an error";
+    } catch (const std::domain_error &e) {
+        EXPECT_NE(std::string(e.what()).find("nan"), std::string::npos)
+            << e.what();
+    }
+    try {
+        Json(-inf).dump();
+        FAIL() << "-Inf dumped without an error";
+    } catch (const std::domain_error &e) {
+        EXPECT_NE(std::string(e.what()).find("-inf"), std::string::npos)
+            << e.what();
+    }
+
+    // An undefined field written as null survives dump -> parse.
+    Json report;
+    report["loss"] = Json(nullptr);
+    report["accuracy"] = Json(0.5);
+    Json back = Json::parse(report.dump());
+    EXPECT_TRUE(back.at("loss").isNull());
+    EXPECT_DOUBLE_EQ(back.at("accuracy").asNumber(), 0.5);
+    EXPECT_EQ(Json::parse(report.pretty()).dump(), report.dump());
+
+    // save() refuses before opening, so an earlier good file survives.
+    const std::string path = "/tmp/lr_json_nonfinite_test.json";
+    ASSERT_TRUE(report.save(path));
+    Json diverged;
+    diverged["loss"] = Json(nan);
+    EXPECT_THROW(diverged.save(path), std::domain_error);
+    EXPECT_TRUE(Json::load(path).at("loss").isNull());
     std::remove(path.c_str());
 }
 
