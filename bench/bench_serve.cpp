@@ -476,9 +476,10 @@ main()
     const bool alloc_gate_pass = !alloc_measured || steady_allocs == 0;
     // Bounded tail: a closed loop of K clients keeps at most K requests
     // in flight, so p99 should stay within a small multiple of one
-    // direct inference (batching amortizes, the event loop adds at most
-    // its poll tick). Generous bound; it catches pathologies (a stuck
-    // connection, a lost wakeup), not regressions of a few percent.
+    // direct inference (batching amortizes, and the engine wakes the
+    // event loop as each reply resolves). Generous bound; it catches
+    // pathologies (a stuck connection, a lost wakeup), not regressions
+    // of a few percent.
     const double socket_p99_bound_ms =
         20.0 * static_cast<double>(socket_clients) * direct_ms_per_request +
         100.0;

@@ -25,8 +25,11 @@
  * from a sharded on-disk dataset written by lightridge_data; manifest
  * validation failures (missing shard, checksum mismatch, future format
  * version) exit 2 naming the offending shard. Exit codes: 0 success,
- * 1 usage error, 2 spec/parse/run error.
+ * 1 usage error, 2 spec/parse/run error, 3 training diverged (a batch
+ * produced a non-finite loss or gradient; the message names the epoch
+ * and batch). A batch run exits with the highest code of its specs.
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -59,7 +62,8 @@ usage()
         "report (classification specs only).\n");
 }
 
-/** Run one spec: train, report, optionally checkpoint. 0 on success. */
+/** Run one spec: train, report, optionally checkpoint. 0 on success,
+ *  otherwise the process exit code (see the file comment). */
 int
 runOne(const ExperimentSpec &spec, const std::string &out_path,
        const std::string &save_model, bool quiet, bool sweep)
@@ -90,6 +94,10 @@ runOne(const ExperimentSpec &spec, const std::string &out_path,
                 RobustnessSweepConfig::defaults(spec.resolvedSystem());
         result = runExperiment(spec, progress, save_model,
                                sweep ? &sweep_config : nullptr);
+    } catch (const TrainingDivergedError &e) {
+        std::fprintf(stderr, "lightridge_run: %s: %s\n", spec.name.c_str(),
+                     e.what());
+        return 3;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "lightridge_run: %s: %s\n", spec.name.c_str(),
                      e.what());
@@ -206,6 +214,7 @@ main(int argc, char **argv)
         ++name_uses[spec.name];
     std::map<std::string, int> name_seen;
     int failures = 0;
+    int exit_code = 0;
     for (std::size_t s = 0; s < specs.size(); ++s) {
         std::string stem = specs[s].name;
         if (specs.size() > 1 && name_uses[stem] > 1) {
@@ -216,13 +225,15 @@ main(int argc, char **argv)
             specs.size() == 1
                 ? args.getString("out", stem + "_results.json")
                 : out_dir + "/" + stem + "_results.json";
-        failures +=
-            runOne(specs[s], out_path, save_model, quiet, sweep) != 0;
+        const int code =
+            runOne(specs[s], out_path, save_model, quiet, sweep);
+        failures += code != 0;
+        exit_code = std::max(exit_code, code);
     }
 
     if (specs.size() > 1)
         std::printf("[batch] %zu specs, %d failed (shared propagation "
                     "caches)\n",
                     specs.size(), failures);
-    return failures == 0 ? 0 : 2;
+    return exit_code;
 }

@@ -150,6 +150,25 @@ Session::replicaSeeds(std::size_t workers) const
     return seeds;
 }
 
+void
+Session::checkBatchFinite(Real batch_loss,
+                          const std::vector<ParamView> &params,
+                          std::size_t batch_index) const
+{
+    const int epoch = epoch_counter_ - 1;
+    if (!std::isfinite(batch_loss))
+        throw TrainingDivergedError(epoch, batch_index,
+                                    "non-finite loss " +
+                                        std::to_string(batch_loss));
+    for (const ParamView &param : params)
+        for (const Real g : *param.grad)
+            if (!std::isfinite(g))
+                throw TrainingDivergedError(
+                    epoch, batch_index,
+                    "non-finite gradient in parameter '" + param.name +
+                        "'");
+}
+
 bool
 Session::devEvalDue(std::size_t batch_index) const
 {
@@ -194,8 +213,10 @@ Session::trainEpochSerial(const std::vector<std::size_t> &order)
 
     DataSource *stream = task_.trainStream();
     const bool perturbed = task_.perturbationActive();
+    const std::vector<ParamView> params = task_.params();
     std::size_t correct = 0;
     std::size_t in_batch = 0;
+    Real batch_loss = 0;
     task_.zeroGrad();
     for (std::size_t i = 0; i < order.size(); ++i) {
         if (in_batch == 0) {
@@ -208,18 +229,22 @@ Session::trainEpochSerial(const std::vector<std::size_t> &order)
         }
         SampleResult sample = task_.trainSample(order[i]);
         stats.train_loss += sample.loss;
+        batch_loss += sample.loss;
         if (sample.hit)
             ++correct;
         if (++in_batch == config_.batch) {
+            checkBatchFinite(batch_loss, params, i / config_.batch);
             optimizer_.step();
             task_.zeroGrad();
             in_batch = 0;
+            batch_loss = 0;
             if (devEvalDue(i / config_.batch))
                 midEpochEval(stats.train_loss, correct, i + 1,
                              i / config_.batch, timer.seconds());
         }
     }
     if (in_batch > 0) {
+        checkBatchFinite(batch_loss, params, order.size() / config_.batch);
         optimizer_.step();
         task_.zeroGrad();
     }
@@ -284,8 +309,10 @@ Session::trainEpochParallel(const std::vector<std::size_t> &order,
 
         // Merge replica gradients in fixed replica order (deterministic
         // for a given worker count), step, and redistribute parameters.
+        Real batch_loss = 0;
         for (std::size_t r = 0; r < active; ++r) {
             stats.train_loss += loss_part[r];
+            batch_loss += loss_part[r];
             correct += correct_part[r];
             std::vector<ParamView> rep_params = task_.replicaParams(r);
             for (std::size_t p = 0; p < main_params.size(); ++p) {
@@ -296,6 +323,7 @@ Session::trainEpochParallel(const std::vector<std::size_t> &order,
             }
             task_.zeroReplicaGrad(r);
         }
+        checkBatchFinite(batch_loss, main_params, start / config_.batch);
         optimizer_.step();
         task_.zeroGrad();
         task_.syncReplicas();
@@ -524,9 +552,11 @@ Session::trainEpochPipelined(const std::vector<std::size_t> &order,
 
         std::size_t start = 0, batch = 0, active = 0;
         batchShape(t, start, batch, active);
+        Real batch_loss = 0;
         for (std::size_t r = 0; r < active; ++r) {
             ReplicaStage &stage = stages[t % 2][r];
             stats.train_loss += stage.loss;
+            batch_loss += stage.loss;
             correct += stage.correct;
             for (std::size_t p = 0; p < main_params.size(); ++p) {
                 const std::vector<Real> &src = stage.grads[p];
@@ -535,6 +565,7 @@ Session::trainEpochPipelined(const std::vector<std::size_t> &order,
                     dst[i] += src[i];
             }
         }
+        checkBatchFinite(batch_loss, main_params, t);
         optimizer_.step();
         task_.zeroGrad();
         if (eval_here) {

@@ -13,7 +13,10 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/optimizer.hpp"
@@ -21,6 +24,31 @@
 #include "utils/rng.hpp"
 
 namespace lightridge {
+
+/**
+ * A training batch produced a non-finite loss or merged gradient.
+ * Thrown by Session before that batch's optimizer step, so the
+ * parameters keep their last finite values. `epoch()` is 0-based like
+ * EpochStats::epoch; `batch()` is the batch index within the epoch.
+ */
+class TrainingDivergedError : public std::runtime_error
+{
+  public:
+    TrainingDivergedError(int epoch, std::size_t batch,
+                          const std::string &what)
+        : std::runtime_error("training diverged at epoch " +
+                             std::to_string(epoch) + ", batch " +
+                             std::to_string(batch) + ": " + what),
+          epoch_(epoch), batch_(batch)
+    {}
+
+    int epoch() const { return epoch_; }
+    std::size_t batch() const { return batch_; }
+
+  private:
+    int epoch_;
+    std::size_t batch_;
+};
 
 /** Task-polymorphic training engine. */
 class Session
@@ -98,6 +126,16 @@ class Session
         return perturbationDrawSeed(config_.seed, epoch_counter_,
                                     batch_index);
     }
+
+    /**
+     * Divergence guard, run once per batch by every epoch loop before
+     * the optimizer step: throws TrainingDivergedError unless the
+     * batch's summed loss and every merged gradient in `params` are
+     * finite.
+     */
+    void checkBatchFinite(Real batch_loss,
+                          const std::vector<ParamView> &params,
+                          std::size_t batch_index) const;
 
     /** True when the mid-epoch dev-eval cadence fires after this batch. */
     bool devEvalDue(std::size_t batch_index) const;

@@ -1,6 +1,7 @@
 #include "serve/api.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace lightridge {
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "optics/workspace.hpp"
@@ -44,27 +45,14 @@ InferenceEngine::~InferenceEngine()
 }
 
 std::future<InferResponse>
-InferenceEngine::submit(InferRequest request)
+InferenceEngine::submit(InferRequest request, CompletionHook on_done)
 {
-    return enqueue(std::move(request), /*legacy=*/false);
-}
-
-std::future<InferResponse>
-InferenceEngine::submitLegacy(InferRequest request)
-{
-    return enqueue(std::move(request), /*legacy=*/true);
-}
-
-std::future<InferResponse>
-InferenceEngine::enqueue(InferRequest request, bool legacy)
-{
-    if (registry_.isEnsemble(request.model))
-        return enqueueEnsemble(std::move(request), legacy);
-
     Pending pending;
     pending.request = std::move(request);
-    pending.legacy = legacy;
+    pending.on_done = std::move(on_done);
     pending.enqueued = std::chrono::steady_clock::now();
+    if (registry_.isEnsemble(pending.request.model))
+        return enqueueEnsemble(std::move(pending));
     std::future<InferResponse> future = pending.promise.get_future();
 
     // Victims resolved outside the lock: the evicted queue entry (when
@@ -93,12 +81,10 @@ InferenceEngine::enqueue(InferRequest request, bool legacy)
 }
 
 std::future<InferResponse>
-InferenceEngine::enqueueEnsemble(InferRequest request, bool legacy)
+InferenceEngine::enqueueEnsemble(Pending &&parent)
 {
     auto job = std::make_shared<EnsembleJob>();
-    job->parent.request = std::move(request);
-    job->parent.legacy = legacy;
-    job->parent.enqueued = std::chrono::steady_clock::now();
+    job->parent = std::move(parent);
     std::future<InferResponse> future = job->parent.promise.get_future();
 
     ResolvedEnsemble resolved;
@@ -294,18 +280,6 @@ void
 InferenceEngine::failPending(Pending &pending, ServeStatus status,
                              const std::string &error, double latency_ms)
 {
-    if (pending.legacy) {
-        // v1 semantics: failures travel as exceptions through the
-        // future, with the same exception types v1 threw.
-        std::exception_ptr ep;
-        if (status == ServeStatus::UnknownModel)
-            ep = std::make_exception_ptr(
-                UnknownModelError(pending.request.model));
-        else
-            ep = std::make_exception_ptr(ServeStatusError(status, error));
-        pending.promise.set_exception(ep);
-        return;
-    }
     InferResponse response;
     response.id = pending.request.id;
     response.model = pending.request.model;
@@ -313,7 +287,15 @@ InferenceEngine::failPending(Pending &pending, ServeStatus status,
     response.error = error;
     response.latency_ms = latency_ms;
     response.batch_size = 0;
+    resolve(pending, std::move(response));
+}
+
+void
+InferenceEngine::resolve(Pending &pending, InferResponse &&response)
+{
     pending.promise.set_value(std::move(response));
+    if (pending.on_done)
+        pending.on_done();
 }
 
 void
@@ -420,7 +402,7 @@ InferenceEngine::finishEnsemble(EnsembleJob &job)
         failPending(job.parent, status, error, ms);
         return;
     }
-    job.parent.promise.set_value(std::move(response));
+    resolve(job.parent, std::move(response));
 }
 
 void
@@ -585,7 +567,6 @@ InferenceEngine::runBatch(const std::string &model_name,
     const auto started = std::chrono::steady_clock::now();
     std::vector<InferResponse> responses(batch.size());
     std::vector<ServeStatus> statuses(batch.size(), ServeStatus::Ok);
-    std::vector<std::exception_ptr> errors(batch.size());
     std::vector<std::string> messages(batch.size());
     pool_->parallelFor(batch.size(), [&](std::size_t i) {
         const Pending &pending = batch[i];
@@ -618,12 +599,10 @@ InferenceEngine::runBatch(const std::string &model_name,
                 response.logits.begin());
         } catch (const std::exception &e) {
             statuses[i] = ServeStatus::BadInput;
-            errors[i] = std::current_exception();
             messages[i] =
                 e.what()[0] != '\0' ? e.what() : "inference failed";
         } catch (...) {
             statuses[i] = ServeStatus::BadInput;
-            errors[i] = std::current_exception();
             messages[i] = "unknown inference error";
         }
     });
@@ -665,11 +644,7 @@ InferenceEngine::runBatch(const std::string &model_name,
             continue;
         }
         if (statuses[i] != ServeStatus::Ok) {
-            if (errors[i] && batch[i].legacy) {
-                batch[i].promise.set_exception(errors[i]);
-            } else {
-                failPending(batch[i], statuses[i], messages[i], ms);
-            }
+            failPending(batch[i], statuses[i], messages[i], ms);
             continue;
         }
         InferResponse &response = responses[i];
@@ -678,7 +653,7 @@ InferenceEngine::runBatch(const std::string &model_name,
         response.status = ServeStatus::Ok;
         response.batch_size = batch.size();
         response.latency_ms = ms;
-        batch[i].promise.set_value(std::move(response));
+        resolve(batch[i], std::move(response));
     }
 }
 

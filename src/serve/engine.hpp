@@ -24,8 +24,10 @@
  * -model admission quotas shed load with ServeStatus::Overloaded
  * (lowest-priority, youngest queued work is evicted first) before the
  * bounded queue can collapse into unbounded waiting. All failures are
- * typed ServeStatus codes on the response; the futures themselves only
- * carry exceptions through the deprecated legacy path.
+ * typed ServeStatus codes on the response, never exceptions. A caller
+ * that multiplexes many futures (the HTTP front end) passes a
+ * completion hook to submit() and is told the moment each one resolves
+ * instead of polling.
  */
 #pragma once
 
@@ -33,7 +35,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <exception>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -102,6 +104,10 @@ struct EngineStats
 class InferenceEngine
 {
   public:
+    /** Called once per submit() on the thread that resolves its future,
+     *  right after the value is set. Must be cheap and must not throw. */
+    using CompletionHook = std::function<void()>;
+
     /**
      * @param registry model source; must outlive the engine. Hot-swaps
      *        and unloads take effect at the next micro-batch; in-flight
@@ -135,22 +141,16 @@ class InferenceEngine
      * every member has (fusion per the ensemble's FusionRule; any
      * member failure fails the fused response with that member's
      * status — see serve/api.hpp EnsembleSpec).
-     * @throws std::runtime_error when the engine is shutting down
+     *
+     * `on_done`, when set, runs exactly once on whichever thread
+     * resolves the future (dispatcher, submitter, or the last ensemble
+     * member's), after the future is ready. Quota sheds can run it
+     * before this call returns.
+     * @throws std::runtime_error when the engine is shutting down (the
+     *         hook is then never called)
      */
-    std::future<InferResponse> submit(InferRequest request)
-        LIGHTRIDGE_EXCLUDES(mutex_);
-
-    /**
-     * v1 exception-style submit: identical enqueueing, scheduling and
-     * (bitwise) results, but a non-Ok outcome is delivered as an
-     * exception through the future — UnknownModelError for an unknown
-     * model, the original worker exception for an inference failure,
-     * ServeStatusError otherwise.
-     * @deprecated Thin alias for pre-v2 callers; use submit() and
-     *             check `InferResponse::status`. Pinned bitwise against
-     *             submit() in tests/test_serve.cpp.
-     */
-    std::future<InferResponse> submitLegacy(InferRequest request)
+    std::future<InferResponse> submit(InferRequest request,
+                                      CompletionHook on_done = {})
         LIGHTRIDGE_EXCLUDES(mutex_);
 
     /**
@@ -205,7 +205,7 @@ class InferenceEngine
         InferRequest request;
         std::promise<InferResponse> promise;
         std::chrono::steady_clock::time_point enqueued;
-        bool legacy = false; ///< deliver failures as exceptions (v1)
+        CompletionHook on_done; ///< plain requests and ensemble parents
 
         /** Fan-out bookkeeping: member sub-requests of an ensemble
          *  carry the shared job and their member slot; their `request`
@@ -242,10 +242,7 @@ class InferenceEngine
         std::size_t max_member_batch LIGHTRIDGE_GUARDED_BY(mutex) = 0;
     };
 
-    std::future<InferResponse> enqueue(InferRequest request, bool legacy)
-        LIGHTRIDGE_EXCLUDES(mutex_);
-    std::future<InferResponse> enqueueEnsemble(InferRequest request,
-                                               bool legacy)
+    std::future<InferResponse> enqueueEnsemble(Pending &&parent)
         LIGHTRIDGE_EXCLUDES(mutex_);
 
     /**
@@ -283,10 +280,14 @@ class InferenceEngine
      *  parent stats/metrics, and resolve the parent promise. */
     void finishEnsemble(EnsembleJob &job) LIGHTRIDGE_EXCLUDES(mutex_);
 
-    /** Resolve one pending with a non-Ok status (value or, for legacy
-     *  pendings, the matching exception). Does not touch stats. */
+    /** Resolve one pending with a non-Ok status. Does not touch
+     *  stats. */
     static void failPending(Pending &pending, ServeStatus status,
                             const std::string &error, double latency_ms);
+
+    /** The one place a client-facing promise is set: set the value,
+     *  then run the completion hook. */
+    static void resolve(Pending &pending, InferResponse &&response);
 
     ModelRegistry &registry_;
     BatchingConfig config_;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -29,6 +30,15 @@ struct HttpRequest
     std::string version; ///< "HTTP/1.0" or "HTTP/1.1"
     std::map<std::string, std::string> headers;
     std::string body;
+
+    /**
+     * Wake handle of the IO thread that owns the connection, set by
+     * HttpServer before the handler runs (empty elsewhere). A handler
+     * that returns a deferred reply arranges for this to be called once
+     * the reply is ready, so it is written at once. Callable from any
+     * thread, any number of times, also after the server has stopped.
+     */
+    std::function<void()> wake;
 
     /** Keep-alive per the version default and Connection header. */
     bool keepAlive() const;

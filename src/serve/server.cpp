@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -208,9 +209,51 @@ setNoDelay(int fd)
 
 } // namespace
 
+/**
+ * Cross-thread wakeup of one IO thread: an eventfd in its poll set.
+ * The IO thread and every wake handle it gave out share ownership, so
+ * the fd stays open until the last late completion hook is gone and is
+ * never closed or reused under one. A notify() after the loop exited
+ * just bumps a counter nobody reads.
+ */
+struct HttpServer::Wakeup
+{
+    const int fd;
+
+    Wakeup() : fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC))
+    {
+        if (fd < 0)
+            throw std::runtime_error("HttpServer: eventfd() failed: " +
+                                     errnoString(errno));
+    }
+
+    ~Wakeup() { ::close(fd); }
+
+    Wakeup(const Wakeup &) = delete;
+    Wakeup &operator=(const Wakeup &) = delete;
+
+    void
+    notify() const
+    {
+        const std::uint64_t one = 1;
+        // Fails only with EAGAIN on a saturated counter: a wake is
+        // already pending then.
+        [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof(one));
+    }
+
+    void
+    clear() const
+    {
+        std::uint64_t count = 0;
+        [[maybe_unused]] const ssize_t n =
+            ::read(fd, &count, sizeof(count));
+    }
+};
+
 struct HttpServer::Connection
 {
     int fd = -1;
+    std::function<void()> wake; ///< the owning IO thread's wake handle
     HttpParser parser;
     std::string outbuf;
     std::size_t outpos = 0;
@@ -220,8 +263,8 @@ struct HttpServer::Connection
     bool read_closed = false; ///< peer half-closed its write side
     std::chrono::steady_clock::time_point last_active;
 
-    Connection(int f, HttpParser::Limits limits)
-        : fd(f), parser(limits),
+    Connection(int f, std::function<void()> w, HttpParser::Limits limits)
+        : fd(f), wake(std::move(w)), parser(limits),
           last_active(std::chrono::steady_clock::now())
     {}
 
@@ -257,6 +300,9 @@ HttpServer::start()
 {
     if (running_.load())
         return;
+    std::vector<std::shared_ptr<Wakeup>> wakeups(io_threads_);
+    for (std::shared_ptr<Wakeup> &wakeup : wakeups)
+        wakeup = std::make_shared<Wakeup>();
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd_ < 0)
         throw std::runtime_error("HttpServer: socket() failed: " +
@@ -293,19 +339,23 @@ HttpServer::start()
     setNonBlocking(listen_fd_);
 
     running_.store(true);
+    wakeups_ = std::move(wakeups);
     threads_.reserve(io_threads_);
-    for (std::size_t i = 0; i < io_threads_; ++i)
-        threads_.emplace_back([this] { ioLoop(); });
+    for (const std::shared_ptr<Wakeup> &wakeup : wakeups_)
+        threads_.emplace_back([this, wakeup] { ioLoop(wakeup); });
 }
 
 void
 HttpServer::stop()
 {
     running_.store(false);
+    for (const std::shared_ptr<Wakeup> &wakeup : wakeups_)
+        wakeup->notify();
     for (std::thread &t : threads_)
         if (t.joinable())
             t.join();
     threads_.clear();
+    wakeups_.clear();
     if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
@@ -345,7 +395,8 @@ HttpServer::transportMetricsText() const
 }
 
 void
-HttpServer::acceptReady(std::vector<std::unique_ptr<Connection>> &conns)
+HttpServer::acceptReady(std::vector<std::unique_ptr<Connection>> &conns,
+                        const std::function<void()> &wake)
 {
     // Every IO thread polls the shared listening socket; accept() is
     // atomic per connection, so the threads race benignly and whoever
@@ -377,7 +428,7 @@ HttpServer::acceptReady(std::vector<std::unique_ptr<Connection>> &conns)
         open_connections_.fetch_add(1);
         connections_accepted_.fetch_add(1);
         conns.push_back(
-            std::make_unique<Connection>(fd, config_.limits));
+            std::make_unique<Connection>(fd, wake, config_.limits));
     }
 }
 
@@ -391,6 +442,7 @@ HttpServer::processParsed(Connection &conn)
     while (!conn.deferred &&
            conn.parser.state() == HttpParser::State::Complete) {
         HttpRequest request = conn.parser.request();
+        request.wake = conn.wake;
         const bool keep_alive = request.keepAlive();
         requests_.fetch_add(1);
         HttpHandlerResult result = handler_(std::move(request));
@@ -473,14 +525,20 @@ HttpServer::serviceWrite(Connection &conn)
 }
 
 void
-HttpServer::ioLoop()
+HttpServer::ioLoop(const std::shared_ptr<Wakeup> &wakeup)
 {
+    // The wake handle every request of this thread carries: whatever
+    // resolves a deferred reply calls it to cut poll() short.
+    const std::function<void()> wake = [wakeup] { wakeup->notify(); };
+    // Replies and stop() arrive through the eventfd, so the timeout
+    // only paces the keep-alive idle sweep.
+    constexpr int kIdleTickMs = 100;
     std::vector<std::unique_ptr<Connection>> conns;
     std::vector<pollfd> fds;
     while (running_.load(std::memory_order_acquire)) {
         fds.clear();
         fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-        bool any_deferred = false;
+        fds.push_back(pollfd{wakeup->fd, POLLIN, 0});
         for (const auto &conn : conns) {
             short events = 0;
             if (!conn->deferred && !conn->close_after_flush &&
@@ -489,16 +547,11 @@ HttpServer::ioLoop()
             if (!conn->flushed())
                 events |= POLLOUT;
             fds.push_back(pollfd{conn->fd, events, 0});
-            any_deferred = any_deferred || conn->deferred != nullptr;
         }
-        // Deferred replies resolve on engine threads; a short timeout
-        // keeps response latency bounded without a cross-thread wakeup
-        // channel. Idle loops take the long tick.
-        const int timeout_ms = any_deferred ? 5 : 100;
         const std::size_t polled = conns.size();
         const int woke = ::poll(fds.data(),
                                 static_cast<nfds_t>(fds.size()),
-                                timeout_ms);
+                                kIdleTickMs);
         if (!running_.load(std::memory_order_acquire))
             break;
         if (woke < 0) {
@@ -506,19 +559,23 @@ HttpServer::ioLoop()
                 continue;
             break;
         }
+        // Clear before checking ready(): a reply that resolves after
+        // its check below re-arms the eventfd for the next poll.
+        if (fds[1].revents & POLLIN)
+            wakeup->clear();
         if (fds[0].revents & POLLIN)
-            acceptReady(conns);
+            acceptReady(conns, wake);
 
         const auto now = std::chrono::steady_clock::now();
         std::vector<std::unique_ptr<Connection>> alive;
         alive.reserve(conns.size());
         for (std::size_t i = 0; i < conns.size(); ++i) {
             Connection &conn = *conns[i];
-            const short revents = i < polled ? fds[i + 1].revents : 0;
+            const short revents = i < polled ? fds[i + 2].revents : 0;
             bool keep = (revents & POLLNVAL) == 0;
             if (keep && (revents & (POLLIN | POLLHUP)))
                 keep = serviceRead(conn);
-            if (keep && conn.deferred && conn.deferred->ready()) {
+            while (keep && conn.deferred && conn.deferred->ready()) {
                 HttpResponse response = conn.deferred->take();
                 conn.deferred.reset();
                 const bool keep_alive = conn.deferred_keep_alive &&
@@ -749,7 +806,8 @@ ServingService::inferRoute(const std::string &model,
 
     std::future<InferResponse> future;
     try {
-        future = engine_.submit(std::move(parsed.request));
+        future = engine_.submit(std::move(parsed.request),
+                                std::move(request.wake));
     } catch (const std::exception &e) {
         out.response = jsonError(503, "overloaded", e.what());
         out.response.headers["Retry-After"] =

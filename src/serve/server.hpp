@@ -8,12 +8,14 @@
  *
  * The server never blocks an IO thread on inference: the infer route
  * submits to the engine's async queue and parks the future on the
- * connection; the event loop writes the response when it resolves,
- * keeping every IO thread free to accept, read, and flush other
- * connections meanwhile. SLA plumbing is end to end — request JSON
- * carries `deadline_ms`/`priority`, engine sheds map to 503 +
- * Retry-After, deadline expiries to 504, and `GET /metrics` renders
- * the engine's lock-cheap counters plus the transport's own.
+ * connection, keeping every IO thread free to accept, read, and flush
+ * other connections meanwhile. The engine thread that resolves the
+ * future wakes the owning IO thread through an eventfd in its poll
+ * set, so the response leaves as soon as it exists. SLA plumbing is
+ * end to end — request JSON carries `deadline_ms`/`priority`, engine
+ * sheds map to 503 + Retry-After, deadline expiries to 504, and
+ * `GET /metrics` renders the engine's lock-cheap counters plus the
+ * transport's own.
  *
  * Routes:
  *   POST /v1/models/<name>/infer   body: {"id","image"|"sample",
@@ -98,8 +100,10 @@ int httpStatusForServeStatus(ServeStatus status);
 // HTTP server
 // ---------------------------------------------------------------------
 
-/** A response that is not ready yet: the event loop polls `ready()`
- *  and writes `take()` once it resolves. */
+/** A response that is not ready yet. Whatever resolves it calls the
+ *  request's `HttpRequest::wake` handle; the owning IO thread then
+ *  checks `ready()` (after every wake, spurious ones included, and on
+ *  its idle tick) and writes `take()` once it returns true. */
 class PendingHttpReply
 {
   public:
@@ -155,8 +159,11 @@ struct HttpTransportStats
 /**
  * Minimal-dependency HTTP/1.1 server: poll() event loop, N acceptor/IO
  * threads, keep-alive with pipelining, incremental parsing, deferred
- * (async) replies. Start with start(); stop() (or destruction) closes
- * the listener, flushes nothing further, and joins the IO threads.
+ * (async) replies. Each IO thread polls its sockets plus one eventfd:
+ * the wake handle it puts on every request. Deferred replies and stop()
+ * signal it; the only timeout is a 100 ms tick for the keep-alive idle
+ * sweep. Start with start(); stop() (or destruction) closes the
+ * listener, flushes nothing further, and joins the IO threads.
  */
 class HttpServer
 {
@@ -190,9 +197,11 @@ class HttpServer
 
   private:
     struct Connection;
+    struct Wakeup;
 
-    void ioLoop();
-    void acceptReady(std::vector<std::unique_ptr<Connection>> &conns);
+    void ioLoop(const std::shared_ptr<Wakeup> &wakeup);
+    void acceptReady(std::vector<std::unique_ptr<Connection>> &conns,
+                     const std::function<void()> &wake);
     /** @return false when the connection should be destroyed */
     bool serviceRead(Connection &conn);
     bool serviceWrite(Connection &conn);
@@ -210,6 +219,7 @@ class HttpServer
     std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> parse_errors_{0};
     std::vector<std::thread> threads_;
+    std::vector<std::shared_ptr<Wakeup>> wakeups_; ///< one per IO thread
 };
 
 // ---------------------------------------------------------------------

@@ -4,9 +4,11 @@
  * oversized and malformed input; chunked rejected cleanly with a typed
  * status), keep-alive negotiation, and the socket server end to end on
  * loopback — routing, typed error mapping (404/400/503/504), deadline
- * and admission semantics over the wire, pipelining, and bitwise parity
- * of the socket path against direct inference. Runs under the ASan and
- * TSan CI legs.
+ * and admission semantics over the wire, pipelining, bitwise parity
+ * of the socket path against direct inference, and the IO thread's
+ * cross-thread wakeup (deferred replies leave well inside the 100 ms
+ * idle tick, stop() returns at once, late engine completions after the
+ * server is gone are harmless). Runs under the ASan and TSan CI legs.
  */
 #include <gtest/gtest.h>
 
@@ -16,8 +18,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "serve/http.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
+#include "utils/sync.hpp"
 
 namespace lightridge {
 namespace {
@@ -472,6 +477,219 @@ TEST(HttpServer, StopIsCleanAndIdempotent)
     EXPECT_THROW(
         HttpClient("127.0.0.1", fx.server.port()).request("GET", "/"),
         std::runtime_error);
+}
+
+// ---------------------------------------------------------------------
+// Cross-thread wakeup of the IO thread
+// ---------------------------------------------------------------------
+
+double
+millisecondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/** A deferred reply that is ready once `done` is set. */
+class FlagReply : public PendingHttpReply
+{
+  public:
+    explicit FlagReply(std::shared_ptr<std::atomic<bool>> done)
+        : done_(std::move(done))
+    {}
+
+    bool
+    ready() override
+    {
+        return done_->load(std::memory_order_acquire);
+    }
+
+    HttpResponse
+    take() override
+    {
+        HttpResponse response;
+        response.content_type = "text/plain";
+        response.body = "resolved\n";
+        return response;
+    }
+
+  private:
+    std::shared_ptr<std::atomic<bool>> done_;
+};
+
+/** Threads that resolve deferred replies; joined on destruction. */
+struct Resolvers
+{
+    Mutex mutex;
+    std::vector<std::thread> threads LIGHTRIDGE_GUARDED_BY(mutex);
+
+    /** Resolve `done` from a new thread after `delay`, then wake. */
+    void
+    resolveLater(std::shared_ptr<std::atomic<bool>> done,
+                 std::function<void()> wake,
+                 std::chrono::microseconds delay)
+    {
+        MutexLock lock(mutex);
+        threads.emplace_back([done, wake, delay] {
+            std::this_thread::sleep_for(delay);
+            done->store(true, std::memory_order_release);
+            wake();
+        });
+    }
+
+    ~Resolvers()
+    {
+        MutexLock lock(mutex);
+        for (std::thread &thread : threads)
+            thread.join();
+    }
+};
+
+HttpServerConfig
+oneIoThread()
+{
+    HttpServerConfig config;
+    config.io_threads = 1;
+    return config;
+}
+
+/** Connected loopback socket (the caller closes it). */
+int
+connectLoopback(std::uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    return fd;
+}
+
+TEST(HttpServer, DeferredReplyLeavesAsSoonAsItResolves)
+{
+    Resolvers resolvers; // outlives the server: joined after it stops
+    HttpServer server(oneIoThread(), [&resolvers](HttpRequest &&request) {
+        EXPECT_TRUE(static_cast<bool>(request.wake));
+        auto done = std::make_shared<std::atomic<bool>>(false);
+        resolvers.resolveLater(done, std::move(request.wake),
+                               std::chrono::milliseconds(1));
+        HttpHandlerResult result;
+        result.deferred = std::make_unique<FlagReply>(done);
+        return result;
+    });
+    server.start();
+
+    // A missed wake leaves the reply to the 100 ms idle tick, so every
+    // request past 50 ms means the wakeup did not arrive.
+    HttpClient client("127.0.0.1", server.port());
+    for (int i = 0; i < 20; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        const HttpResponse response = client.request("GET", "/late");
+        const double ms = millisecondsSince(start);
+        EXPECT_EQ(response.status, 200);
+        EXPECT_EQ(response.body, "resolved\n");
+        EXPECT_LT(ms, 50.0) << "request " << i;
+    }
+    server.stop();
+}
+
+TEST(HttpServer, EngineRepliesLeaveWithoutWaitingForTheIdleTick)
+{
+    // The infer route hands the request's wake handle to the engine as
+    // its completion hook; without it each reply waits up to 100 ms.
+    ServerFixture fx({}, oneIoThread());
+    HttpClient client("127.0.0.1", fx.server.port());
+    Json body;
+    body["image"] = imageJson(makeSynthDigits(1, 3).images[0]);
+    const std::string payload = body.dump();
+    for (int i = 0; i < 10; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        const HttpResponse response =
+            client.request("POST", "/v1/models/digits/infer", payload);
+        EXPECT_EQ(response.status, 200);
+        EXPECT_LT(millisecondsSince(start), 50.0) << "request " << i;
+    }
+}
+
+TEST(HttpServer, DeferredReplyResolvedBeforeTheHandlerReturnsIsWritten)
+{
+    // Nobody calls the wake handle: the loop checks ready() right after
+    // the handler, so the reply still leaves without waiting a tick.
+    HttpServer server(oneIoThread(), [](HttpRequest &&) {
+        HttpHandlerResult result;
+        result.deferred = std::make_unique<FlagReply>(
+            std::make_shared<std::atomic<bool>>(true));
+        return result;
+    });
+    server.start();
+    HttpClient client("127.0.0.1", server.port());
+    for (int i = 0; i < 3; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        const HttpResponse response = client.request("GET", "/now");
+        EXPECT_EQ(response.body, "resolved\n");
+        EXPECT_LT(millisecondsSince(start), 50.0) << "request " << i;
+    }
+}
+
+TEST(HttpServer, StopWithAnIdleConnectionReturnsAtOnce)
+{
+    HttpServer server(oneIoThread(), [](HttpRequest &&) {
+        HttpHandlerResult result;
+        result.response.body = "{}\n";
+        return result;
+    });
+    server.start();
+    HttpClient client("127.0.0.1", server.port());
+    ASSERT_EQ(client.request("GET", "/").status, 200); // accepted, idle
+
+    const auto start = std::chrono::steady_clock::now();
+    server.stop();
+    EXPECT_LT(millisecondsSince(start), 50.0);
+    EXPECT_FALSE(server.running());
+}
+
+TEST(HttpServer, DestroyedBeforeTheEngineDrainsIsClean)
+{
+    ModelRegistry registry;
+    registry.registerModel("digits", tinyModel(16, 1));
+    InferenceEngine engine(registry);
+    ServingService service(registry, engine);
+    engine.pause(); // the request stays queued past the server's life
+
+    Json body;
+    body["image"] = imageJson(makeSynthDigits(1, 3).images[0]);
+    const std::string payload = body.dump();
+    const std::string wire = "POST /v1/models/digits/infer HTTP/1.1\r\n"
+                             "Content-Length: " +
+                             std::to_string(payload.size()) +
+                             "\r\n\r\n" + payload;
+    int fd = -1;
+    {
+        HttpServer server({}, [&service](HttpRequest &&request) {
+            return service.handle(std::move(request));
+        });
+        server.start();
+        fd = connectLoopback(server.port());
+        ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(wire.size()));
+        for (int i = 0; i < 2000 && engine.metrics().queueDepth() < 1;
+             ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_EQ(engine.metrics().queueDepth(), 1);
+    } // IO threads joined; the queued request still holds a wake handle
+
+    // The completion hook now wakes an IO thread that no longer exists:
+    // it must touch only the eventfd its handle keeps open.
+    engine.resume();
+    engine.drain();
+    EXPECT_EQ(engine.stats().requests, 1u);
+    EXPECT_EQ(engine.stats().failed, 0u);
+    ::close(fd);
 }
 
 } // namespace

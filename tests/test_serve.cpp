@@ -7,8 +7,8 @@
  * single-model inference, and unload-while-busy must be safe (this
  * suite runs under the TSan CI leg).
  *
- * Serving API v2 coverage: typed ServeStatus failures, the deprecated
- * exception-style submitLegacy alias pinned bitwise against submit(),
+ * Serving API v2 coverage: typed ServeStatus failures, the submit()
+ * completion hook firing once per request on every resolve path,
  * deadline expiry (an expired request never reaches a batch slot),
  * priority-major batch formation, per-model admission quotas shedding
  * lowest-priority-youngest first, and metrics-counter consistency.
@@ -277,49 +277,6 @@ TEST(InferenceEngine, UnknownModelIsATypedStatus)
     EXPECT_EQ(engine.stats().failed, 1u);
     EXPECT_EQ(engine.metrics().statusCount(ServeStatus::UnknownModel),
               1u);
-}
-
-TEST(InferenceEngine, LegacySubmitKeepsV1ExceptionSemantics)
-{
-    ModelRegistry registry;
-    registry.registerModel("m", tinyModel(16, 1));
-    InferenceEngine engine(registry);
-    const RealMap frame = testFrames(1)[0];
-
-    // Pinned bitwise: the deprecated alias schedules and computes
-    // exactly like submit(), only the failure channel differs.
-    InferRequest v2;
-    v2.model = "m";
-    v2.image = frame;
-    InferRequest v1;
-    v1.model = "m";
-    v1.image = frame;
-    const InferResponse v2_response = engine.submit(std::move(v2)).get();
-    const InferResponse v1_response =
-        engine.submitLegacy(std::move(v1)).get();
-    EXPECT_EQ(v1_response.logits, v2_response.logits);
-    EXPECT_EQ(v1_response.prediction, v2_response.prediction);
-    EXPECT_EQ(v1_response.status, ServeStatus::Ok);
-
-    InferRequest ghost;
-    ghost.model = "ghost";
-    ghost.image = frame;
-    std::future<InferResponse> future =
-        engine.submitLegacy(std::move(ghost));
-    EXPECT_THROW(future.get(), UnknownModelError);
-
-    InferRequest expired;
-    expired.model = "m";
-    expired.image = frame;
-    expired.deadline = std::chrono::milliseconds(-1);
-    std::future<InferResponse> expired_future =
-        engine.submitLegacy(std::move(expired));
-    try {
-        expired_future.get();
-        FAIL() << "expected ServeStatusError";
-    } catch (const ServeStatusError &e) {
-        EXPECT_EQ(e.status(), ServeStatus::DeadlineExceeded);
-    }
 }
 
 TEST(InferenceEngine, ExpiredOnArrivalNeverReachesABatch)
@@ -949,6 +906,153 @@ TEST(InferenceEngine, UnloadMemberWhileEnsembleBusyIsSafe)
         t.join();
     EXPECT_EQ(wrong.load(), 0);
     engine.drain();
+}
+
+/**
+ * Counts completion-hook calls and how many of them found the future
+ * already ready. The test thread stores `future` before the engine can
+ * resolve it (engine paused), so the hook's read is ordered after the
+ * write; a hook that runs inside submit() itself sees no future yet.
+ */
+struct HookProbe
+{
+    std::future<InferResponse> future;
+    std::atomic<int> calls{0};
+    std::atomic<int> ready_calls{0};
+
+    InferenceEngine::CompletionHook
+    hook()
+    {
+        return [this] {
+            calls.fetch_add(1);
+            if (future.valid() &&
+                future.wait_for(std::chrono::seconds(0)) ==
+                    std::future_status::ready)
+                ready_calls.fetch_add(1);
+        };
+    }
+
+    /** Exactly one call, made after the future was ready. */
+    void
+    expectOneReadyCall(ServeStatus status)
+    {
+        EXPECT_EQ(calls.load(), 1);
+        EXPECT_EQ(ready_calls.load(), 1);
+        EXPECT_EQ(future.get().status, status);
+    }
+};
+
+InferRequest
+hookRequest(const std::string &model, Priority priority = Priority::Batch)
+{
+    InferRequest request;
+    request.model = model;
+    request.image = testFrames(1)[0];
+    request.priority = priority;
+    return request;
+}
+
+TEST(InferenceEngine, CompletionHookFiresOnceOnEveryResolvePath)
+{
+    ModelRegistry registry;
+    registry.registerModel("a", tinyModel(16, 1));
+    registry.registerModel("b", tinyModel(16, 2));
+    EnsembleSpec spec;
+    spec.name = "duo";
+    spec.members = {"a", "b"};
+    registry.registerEnsemble(spec);
+
+    {
+        SCOPED_TRACE("batched ok");
+        InferenceEngine engine(registry);
+        engine.pause();
+        HookProbe probe;
+        probe.future = engine.submit(hookRequest("a"), probe.hook());
+        engine.resume();
+        engine.drain();
+        probe.expectOneReadyCall(ServeStatus::Ok);
+    }
+    {
+        SCOPED_TRACE("deadline expiry");
+        InferenceEngine engine(registry);
+        engine.pause();
+        InferRequest request = hookRequest("a");
+        request.deadline = std::chrono::milliseconds(-1);
+        HookProbe probe;
+        probe.future = engine.submit(std::move(request), probe.hook());
+        engine.resume();
+        engine.drain();
+        probe.expectOneReadyCall(ServeStatus::DeadlineExceeded);
+    }
+    {
+        SCOPED_TRACE("quota shed of the newcomer and of a queued victim");
+        InferenceEngine engine(registry);
+        engine.setModelQuota("a", 1);
+        engine.pause();
+        HookProbe victim;
+        victim.future = engine.submit(hookRequest("a", Priority::BestEffort),
+                                      victim.hook());
+
+        // An equal-priority newcomer is shed inside submit(): the hook
+        // has run by the time the future is handed back, and it is ready.
+        HookProbe newcomer;
+        std::future<InferResponse> shed = engine.submit(
+            hookRequest("a", Priority::BestEffort), newcomer.hook());
+        EXPECT_EQ(newcomer.calls.load(), 1);
+        EXPECT_EQ(shed.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+        EXPECT_EQ(shed.get().status, ServeStatus::Overloaded);
+
+        // An Interactive newcomer evicts the queued BestEffort victim.
+        HookProbe urgent;
+        urgent.future = engine.submit(
+            hookRequest("a", Priority::Interactive), urgent.hook());
+        victim.expectOneReadyCall(ServeStatus::Overloaded);
+        engine.resume();
+        engine.drain();
+        EXPECT_EQ(newcomer.calls.load(), 1);
+        urgent.expectOneReadyCall(ServeStatus::Ok);
+    }
+    {
+        SCOPED_TRACE("unknown model at dispatch");
+        ModelRegistry local;
+        local.registerModel("gone", tinyModel(16, 3));
+        InferenceEngine engine(local);
+        engine.pause();
+        HookProbe probe;
+        probe.future = engine.submit(hookRequest("gone"), probe.hook());
+        local.unload("gone");
+        engine.resume();
+        engine.drain();
+        probe.expectOneReadyCall(ServeStatus::UnknownModel);
+    }
+    {
+        SCOPED_TRACE("ensemble fused ok");
+        InferenceEngine engine(registry);
+        engine.pause();
+        HookProbe probe;
+        probe.future = engine.submit(hookRequest("duo"), probe.hook());
+        engine.resume();
+        engine.drain();
+        probe.expectOneReadyCall(ServeStatus::Ok);
+    }
+    {
+        SCOPED_TRACE("ensemble member failure");
+        InferenceEngine engine(registry);
+        engine.setModelQuota("a", 1);
+        engine.pause();
+        HookProbe plain;
+        plain.future = engine.submit(hookRequest("a"), plain.hook());
+        // Member a is shed at fan-out; the fused parent resolves when
+        // member b finishes after resume().
+        HookProbe fused;
+        fused.future = engine.submit(hookRequest("duo"), fused.hook());
+        EXPECT_EQ(fused.calls.load(), 0);
+        engine.resume();
+        engine.drain();
+        fused.expectOneReadyCall(ServeStatus::Overloaded);
+        plain.expectOneReadyCall(ServeStatus::Ok);
+    }
 }
 
 TEST(InferenceEngine, RetryAfterSecondsStaysClamped)

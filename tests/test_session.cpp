@@ -3,14 +3,16 @@
  * Session engine behaviours across task kinds: bit-for-bit parity of the
  * workers=1 serial path against the legacy trainer recipes (reimplemented
  * here as explicit reference loops), data-parallel replica training for
- * segmentation/RGB, top-k reporting, per-epoch callbacks, and the
- * deprecated trainer shims delegating faithfully.
+ * segmentation/RGB, top-k reporting, per-epoch callbacks, the
+ * deprecated trainer shims delegating faithfully, and the per-batch
+ * divergence guard in all three epoch loops.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 
 #include "core/session.hpp"
@@ -594,6 +596,50 @@ TEST(SessionPipeline, PipelineOffMatchesSynchronousReferenceBitwise)
     ASSERT_EQ(history.size(), reference.size());
     for (std::size_t e = 0; e < reference.size(); ++e)
         EXPECT_EQ(history[e].train_loss, reference[e]) << "epoch " << e;
+}
+
+TEST(SessionDivergence, NonFiniteInputFailsLoudlyInEveryEpochLoop)
+{
+    // One NaN pixel in sample 9 poisons its loss and gradients. With the
+    // order unshuffled and batch 4, that is batch 2 of epoch 0 in the
+    // serial, synchronous-parallel and pipelined loops alike.
+    ClassDataset train = makeSynthDigits(16, 1);
+    train.images[9][0] = std::numeric_limits<Real>::quiet_NaN();
+
+    struct Schedule
+    {
+        std::size_t workers;
+        bool pipeline;
+    };
+    for (const Schedule schedule :
+         {Schedule{1, false}, Schedule{2, false}, Schedule{2, true}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "workers=" << schedule.workers
+                     << " pipeline=" << schedule.pipeline);
+        DonnModel model = classModel(5);
+        TrainConfig cfg;
+        cfg.epochs = 2;
+        cfg.batch = 4;
+        cfg.shuffle = false;
+        cfg.workers = schedule.workers;
+        cfg.pipeline = schedule.pipeline;
+        ClassificationTask task(model, train);
+        Session session(task, cfg);
+        try {
+            session.fit();
+            ADD_FAILURE() << "expected TrainingDivergedError";
+        } catch (const TrainingDivergedError &e) {
+            EXPECT_EQ(e.epoch(), 0);
+            EXPECT_EQ(e.batch(), 2u);
+            EXPECT_NE(std::string(e.what()).find("epoch 0, batch 2"),
+                      std::string::npos)
+                << e.what();
+        }
+        // The poisoned batch never reached the optimizer.
+        for (const ParamView &param : task.params())
+            for (const Real v : *param.value)
+                ASSERT_TRUE(std::isfinite(v)) << param.name;
+    }
 }
 
 TEST(SessionPipeline, SegmentationAndRgbPipelineConverge)
