@@ -17,7 +17,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/trainer.hpp"
+#include "core/session.hpp"
 #include "data/synth_digits.hpp"
 #include "hardware/deploy.hpp"
 #include "utils/timer.hpp"
@@ -62,7 +62,8 @@ main()
                         .diffractiveLayers(depth, 1.0, &rng)
                         .detectorGrid(10, size / 10)
                         .build();
-    Trainer(raw, tc).fit(train);
+    ClassificationTask raw_task(raw, train);
+    Session(raw_task, tc).fit();
     double raw_train_s = raw_timer.seconds();
     Real raw_sim = evaluateAccuracy(raw, test);
 
@@ -78,7 +79,8 @@ main()
         static_cast<CodesignLayer *>(codesign.layer(i))
             ->initFromPhase(
                 static_cast<DiffractiveLayer *>(raw.layer(i))->phase());
-    Trainer(codesign, tc).fit(train);
+    ClassificationTask cd_task(codesign, train);
+    Session(cd_task, tc).fit();
     double cd_train_s = cd_timer.seconds();
     Real cd_sim = evaluateAccuracy(codesign, test);
 

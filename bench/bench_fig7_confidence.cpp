@@ -15,7 +15,7 @@
 
 #include "api/robustness.hpp"
 #include "bench_common.hpp"
-#include "core/trainer.hpp"
+#include "core/session.hpp"
 #include "data/synth_digits.hpp"
 #include "data/synth_fashion.hpp"
 
@@ -49,7 +49,8 @@ runOne(const ClassDataset &train, const ClassDataset &test,
     tc.epochs = epochs;
     tc.lr = 0.03;
     tc.calibrate = regularized; // baseline [34]/[68]: no regularization
-    Trainer(model, tc).fit(train);
+    ClassificationTask task(model, train);
+    Session(task, tc).fit();
 
     RunResult out;
     EvalResult clean = evaluateWithConfidence(model, test);

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/trainer.hpp"
+#include "core/session.hpp"
 #include "data/synth_scenes.hpp"
 
 using namespace lightridge;
@@ -69,12 +69,14 @@ main()
     std::printf("training ours (regularized multi-channel)...\n");
     MultiChannelDonn ours = buildRgb(spec, laser, depth,
                                      train.num_classes, 3);
-    RgbTrainer(ours, ours_cfg).fit(train);
+    RgbTask ours_task(ours, train);
+    Session(ours_task, ours_cfg).fit();
 
     std::printf("training baseline ([68] recipe)...\n");
     MultiChannelDonn base = buildRgb(spec, laser, depth,
                                      train.num_classes, 3);
-    RgbTrainer(base, base_cfg).fit(train);
+    RgbTask base_task(base, train);
+    Session(base_task, base_cfg).fit();
 
     std::printf("\n%-24s %-8s %-8s %-8s\n", "model", "top-1", "top-3",
                 "top-5");

@@ -286,7 +286,6 @@ trainConfigToJson(const TrainConfig &config)
     j["tau_start"] = Json(config.tau_start);
     j["tau_end"] = Json(config.tau_end);
     j["workers"] = Json(config.workers);
-    j["pipeline"] = Json(config.pipeline);
     j["dev_eval_every_batches"] = Json(config.dev_eval_every_batches);
     j["verbose"] = Json(config.verbose);
     return j;
@@ -298,8 +297,8 @@ trainConfigFromJson(const Json &j)
     expectKeys(j,
                {"epochs", "batch", "lr", "loss", "seed", "shuffle",
                 "calibrate", "calib_target", "calib_probe", "gamma",
-                "tau_start", "tau_end", "workers", "pipeline",
-                "dev_eval_every_batches", "verbose"},
+                "tau_start", "tau_end", "workers", "dev_eval_every_batches",
+                "verbose"},
                "train config");
     TrainConfig config;
     config.epochs = static_cast<int>(j.numberOr("epochs", config.epochs));
@@ -319,8 +318,6 @@ trainConfigFromJson(const Json &j)
     config.tau_start = j.numberOr("tau_start", config.tau_start);
     config.tau_end = j.numberOr("tau_end", config.tau_end);
     config.workers = sizeOr(j, "workers", config.workers);
-    if (j.has("pipeline"))
-        config.pipeline = j.at("pipeline").asBool();
     config.dev_eval_every_batches = sizeOr(j, "dev_eval_every_batches",
                                            config.dev_eval_every_batches);
     if (j.has("verbose"))
@@ -623,7 +620,6 @@ runExperiment(const ExperimentSpec &spec,
     // Record the execution mode actually used, not just what the spec
     // asked for (Session::resolveWorkers is the engine's own rule).
     result.workers_requested = spec.train.workers;
-    result.pipeline = spec.train.pipeline;
     result.hw_threads = ThreadPool::global().workerCount();
 
     auto runSession = [&](Task &task) {
@@ -844,7 +840,6 @@ ExperimentResult::report(const ExperimentSpec &spec) const
     Json execution;
     execution["workers"] = Json(workers_used);
     execution["workers_requested"] = Json(workers_requested);
-    execution["pipeline"] = Json(pipeline);
     execution["hw_threads"] = Json(hw_threads);
     execution["data_source"] = Json(data_source);
     execution["data_shards"] = Json(data_shards);

@@ -69,10 +69,9 @@ runOne(const ExperimentSpec &spec, const std::string &out_path,
        const std::string &save_model, bool quiet, bool sweep)
 {
     std::printf("[lightridge_run] %s: task=%s dataset=%s size=%zu "
-                "epochs=%d workers=%zu%s\n",
+                "epochs=%d workers=%zu\n",
                 spec.name.c_str(), spec.task.c_str(), spec.dataset.c_str(),
-                spec.system.size, spec.train.epochs, spec.train.workers,
-                spec.train.pipeline ? " pipeline" : "");
+                spec.system.size, spec.train.epochs, spec.train.workers);
 
     Session::Callback progress;
     if (!quiet) {

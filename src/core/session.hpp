@@ -6,7 +6,7 @@
  * trainers: the physics-aware calibration pass, Gumbel-softmax tau
  * annealing, the shuffled epoch loop with per-batch Adam steps, per-epoch
  * callbacks (logging / early stop / checkpointing), and the shared
- * data-parallel replica pipeline — per-worker model replicas propagate
+ * data-parallel replica loop — per-worker model replicas propagate
  * disjoint slices of each batch and their gradients are merged in fixed
  * replica order before every optimizer step, so classification,
  * segmentation, and RGB training all parallelize identically.
@@ -76,16 +76,11 @@ class Session
     /** Run the task's calibration pass now (fit() calls this once). */
     void calibrate();
 
-    /** Mark calibration as already applied externally (trainer shims). */
-    void markCalibrated() { calibrated_ = true; }
-    bool isCalibrated() const { return calibrated_; }
-
     /**
      * One pass over the training set; returns loss/accuracy. Runs the
-     * data-parallel batch pipeline when config.workers allows (see
-     * TrainConfig::workers), otherwise the reference serial loop. With
-     * config.pipeline set, replica forwards for batch t+1 overlap the
-     * main thread's merge + optimizer step for batch t.
+     * synchronous data-parallel replica loop when config.workers allows
+     * (see TrainConfig::workers), otherwise the serial loop, which is the
+     * bitwise reference.
      */
     EpochStats trainEpoch();
 
@@ -111,8 +106,8 @@ class Session
      * Seed of the misalignment draw for one batch of vaccinated
      * training: a pure function of (train seed, epoch, batch index),
      * mixed on a stream constant disjoint from the replica-seed stream.
-     * Independent of worker count and schedule (serial / parallel /
-     * pipelined), so the drawn error sequence is too. Exposed static
+     * Independent of worker count and epoch loop (serial / parallel),
+     * so the drawn error sequence is too. Exposed static
      * for the determinism tests.
      */
     static uint64_t perturbationDrawSeed(uint64_t seed, int epoch,
@@ -153,8 +148,6 @@ class Session
     EpochStats trainEpochSerial(const std::vector<std::size_t> &order);
     EpochStats trainEpochParallel(const std::vector<std::size_t> &order,
                                   std::size_t workers);
-    EpochStats trainEpochPipelined(const std::vector<std::size_t> &order,
-                                   std::size_t workers);
 
     Task &task_;
     TrainConfig config_;

@@ -17,7 +17,7 @@
  * in-memory training is bit-for-bit unchanged; and any two sources with
  * the same shard layout — a ShardedDiskSource and an InMemorySource
  * preloaded from the same manifest — train bitwise identically at any
- * worker count, pipeline on or off.
+ * worker count.
  */
 #pragma once
 

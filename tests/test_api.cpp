@@ -76,6 +76,11 @@ TEST(ExperimentSpec, UnknownTrainFieldThrows)
     Json j = tinySpec().toJson();
     j["train"]["learning_rate"] = Json(0.1); // not a TrainConfig key
     EXPECT_THROW(ExperimentSpec::fromJson(j), JsonError);
+
+    // Nor is "pipeline": Session has no pipelined epoch loop.
+    Json removed = tinySpec().toJson();
+    removed["train"]["pipeline"] = Json(true);
+    EXPECT_THROW(ExperimentSpec::fromJson(removed), JsonError);
 }
 
 TEST(ExperimentSpec, UnknownLayerKindThrows)
@@ -320,17 +325,15 @@ TEST(RunExperiment, ReportRecordsExecutionMode)
 {
     ExperimentSpec spec = tinySpec();
     spec.train.workers = 1;
-    spec.train.pipeline = true;
     ExperimentResult result = runExperiment(spec);
     EXPECT_EQ(result.workers_used, 1u);
     EXPECT_EQ(result.workers_requested, 1u);
-    EXPECT_TRUE(result.pipeline);
 
     Json report = result.report(spec);
     const Json &execution = report.at("execution");
     EXPECT_EQ(execution.at("workers").asInt(), 1);
     EXPECT_EQ(execution.at("workers_requested").asInt(), 1);
-    EXPECT_TRUE(execution.at("pipeline").asBool());
+    EXPECT_FALSE(execution.has("pipeline"));
     EXPECT_TRUE(execution.has("hw_threads"));
 }
 

@@ -1,11 +1,12 @@
 /**
  * @file
  * Out-of-core streaming dataset subsystem: bitwise shard round trips,
- * streamed-vs-preloaded training parity across worker counts and the
- * pipelined schedule, the deterministic two-level shuffle, strict
- * manifest/shard validation errors naming the offending shard, the
- * mid-epoch dev-eval cadence, and — in LIGHTRIDGE_ALLOC_STATS builds —
- * zero-Field-allocation steady-state streamed train steps.
+ * streamed-vs-preloaded training parity across worker counts, the
+ * deterministic two-level shuffle, strict manifest/shard validation
+ * errors naming the offending shard, the mid-epoch dev-eval cadence
+ * (ragged final batch included) at every worker count, and — in
+ * LIGHTRIDGE_ALLOC_STATS builds — zero-Field-allocation steady-state
+ * streamed train steps.
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/session.hpp"
@@ -86,14 +88,13 @@ lossHistory(ClassSource &source, const ClassDataset *test, TrainConfig cfg)
 }
 
 TrainConfig
-smallConfig(std::size_t workers, bool pipeline)
+smallConfig(std::size_t workers)
 {
     TrainConfig cfg;
     cfg.epochs = 2;
     cfg.batch = 6;
     cfg.seed = 3;
     cfg.workers = workers;
-    cfg.pipeline = pipeline;
     cfg.verbose = false;
     return cfg;
 }
@@ -292,18 +293,15 @@ TEST(StreamedTraining, MatchesPreloadedBitwiseAcrossSchedules)
     ClassDataset preloaded = materializeClassDataset(manifest);
     for (std::size_t workers : {std::size_t{1}, std::size_t{2},
                                 std::size_t{4}}) {
-        for (bool pipeline : {false, true}) {
-            InMemoryClassSource memory(preloaded, manifest.shardSizes());
-            ShardedClassSource streamed(manifest, 1);
-            std::vector<Real> a = lossHistory(
-                memory, nullptr, smallConfig(workers, pipeline));
-            std::vector<Real> b = lossHistory(
-                streamed, nullptr, smallConfig(workers, pipeline));
-            EXPECT_EQ(a, b)
-                << "streamed and preloaded training must be bitwise "
-                   "identical (workers=" << workers
-                << " pipeline=" << pipeline << ")";
-        }
+        InMemoryClassSource memory(preloaded, manifest.shardSizes());
+        ShardedClassSource streamed(manifest, 1);
+        std::vector<Real> a =
+            lossHistory(memory, nullptr, smallConfig(workers));
+        std::vector<Real> b =
+            lossHistory(streamed, nullptr, smallConfig(workers));
+        EXPECT_EQ(a, b) << "streamed and preloaded training must be "
+                           "bitwise identical (workers="
+                        << workers << ")";
     }
 }
 
@@ -317,12 +315,12 @@ TEST(StreamedTraining, SingleShardMatchesLegacyInMemoryTraining)
     // Default flat layout (the engine's historical shuffle) ...
     InMemoryClassSource flat(raw);
     std::vector<Real> legacy =
-        lossHistory(flat, nullptr, smallConfig(1, false));
+        lossHistory(flat, nullptr, smallConfig(1));
     // ... equals the streamed single-shard run: shuffling a one-element
     // shard list draws nothing, so the rng stream is identical.
     ShardedClassSource streamed(manifest, 1);
     std::vector<Real> stream =
-        lossHistory(streamed, nullptr, smallConfig(1, false));
+        lossHistory(streamed, nullptr, smallConfig(1));
     EXPECT_EQ(legacy, stream);
 }
 
@@ -338,7 +336,7 @@ TEST(StreamedTraining, PrefetchDepthDoesNotChangeNumbers)
     for (std::size_t prefetch : {std::size_t{0}, std::size_t{1},
                                  std::size_t{3}}) {
         ShardedClassSource source(manifest, prefetch);
-        runs.push_back(lossHistory(source, nullptr, smallConfig(2, false)));
+        runs.push_back(lossHistory(source, nullptr, smallConfig(2)));
         EXPECT_EQ(source.prefetchDepth(), prefetch);
     }
     EXPECT_EQ(runs[0], runs[1]);
@@ -359,7 +357,7 @@ TEST(StreamedTraining, BytesReadCountsDecodedPayload)
     ShardedClassSource source(manifest, 1);
     EXPECT_EQ(source.bytesRead(), 0u);
     std::vector<Real> losses =
-        lossHistory(source, nullptr, smallConfig(1, false));
+        lossHistory(source, nullptr, smallConfig(1));
     ASSERT_FALSE(losses.empty());
     // Every shard decodes at least once; the slot cache may save some
     // re-decodes across epochs, so the exact count is schedule-dependent.
@@ -497,7 +495,7 @@ TEST(DevEval, OffByDefaultIsBitwiseNoOp)
     ClassDataset test = makeSynthDigits(8, 8);
 
     InMemoryClassSource source_a(train);
-    TrainConfig base = smallConfig(1, false);
+    TrainConfig base = smallConfig(1);
     std::vector<Real> plain = lossHistory(source_a, &test, base);
 
     InMemoryClassSource source_b(train);
@@ -516,7 +514,7 @@ TEST(DevEval, SnapshotsInterleaveWithCadence)
 
     DonnModel model = classModel(11);
     ClassificationTask task(model, source, &test);
-    TrainConfig cfg = smallConfig(1, false);
+    TrainConfig cfg = smallConfig(1);
     cfg.dev_eval_every_batches = 2;
     Session session(task, cfg);
 
@@ -548,22 +546,37 @@ TEST(DevEval, SnapshotsInterleaveWithCadence)
         << "mid-epoch snapshots must flow through the callback machinery";
 }
 
-TEST(DevEval, PipelinedScheduleIsEvalInvariant)
+TEST(DevEval, RaggedFinalBatchSnapshotsAtEveryWorkerCount)
 {
-    ClassDataset train = makeSynthDigits(24, 7);
+    // 26 samples / batch 6 = 4 full batches and a ragged fifth of 2, so
+    // a cadence of 5 fires only after the ragged batch. Both epoch loops
+    // must take that snapshot, and it must not change the numbers.
+    ClassDataset train = makeSynthDigits(26, 7);
     ClassDataset test = makeSynthDigits(8, 8);
+    using Row = std::pair<bool, std::size_t>; // (mid_epoch, batch)
+    const std::vector<Row> expected = {{true, 5}, {false, 0}};
 
-    // The pipelined schedule stalls the prefetched launch around an eval
-    // but must not change the numbers relative to eval-off at the same
-    // worker count.
-    TrainConfig cfg = smallConfig(2, true);
-    InMemoryClassSource source_a(train);
-    std::vector<Real> plain = lossHistory(source_a, &test, cfg);
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+        TrainConfig cfg = smallConfig(workers);
+        cfg.epochs = 1;
+        InMemoryClassSource plain_source(train);
+        std::vector<Real> plain = lossHistory(plain_source, &test, cfg);
 
-    cfg.dev_eval_every_batches = 1;
-    InMemoryClassSource source_b(train);
-    std::vector<Real> with_eval = lossHistory(source_b, &test, cfg);
-    EXPECT_EQ(plain, with_eval);
+        cfg.dev_eval_every_batches = 5;
+        DonnModel model = classModel(11);
+        InMemoryClassSource source(train);
+        ClassificationTask task(model, source, &test);
+        std::vector<Row> rows;
+        std::vector<Real> losses;
+        for (const EpochStats &stats : Session(task, cfg).fit()) {
+            rows.emplace_back(stats.mid_epoch, stats.batch);
+            if (!stats.mid_epoch)
+                losses.push_back(stats.train_loss);
+        }
+        EXPECT_EQ(rows, expected);
+        EXPECT_EQ(losses, plain);
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -583,7 +596,7 @@ TEST(AllocStats, SteadyStateStreamedStepAllocatesNoFields)
     DonnModel model = classModel(11);
     ShardedClassSource source(manifest, 1);
     ClassificationTask task(model, source); // no test set: pure train loop
-    Session session(task, smallConfig(1, false));
+    Session session(task, smallConfig(1));
     session.calibrate();
 
     // Warm epoch: sizes the slot ring, layer caches, and workspaces.

@@ -9,8 +9,9 @@
 
 #include "core/layer_norm.hpp"
 #include "core/model.hpp"
+#include "core/multichannel.hpp"
+#include "core/optimizer.hpp"
 #include "core/skip.hpp"
-#include "core/trainer.hpp"
 #include "data/synth_digits.hpp"
 
 namespace lightridge {

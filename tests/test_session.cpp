@@ -3,9 +3,9 @@
  * Session engine behaviours across task kinds: bit-for-bit parity of the
  * workers=1 serial path against the legacy trainer recipes (reimplemented
  * here as explicit reference loops), data-parallel replica training for
- * segmentation/RGB, top-k reporting, per-epoch callbacks, the
- * deprecated trainer shims delegating faithfully, and the per-batch
- * divergence guard in all three epoch loops.
+ * segmentation/RGB, the synchronous replica schedule pinned against a
+ * reference reimplementation, top-k reporting, per-epoch callbacks, and
+ * the per-batch divergence guard in both epoch loops.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <numeric>
 
 #include "core/session.hpp"
-#include "core/trainer.hpp"
 #include "data/synth_city.hpp"
 #include "data/synth_digits.hpp"
 #include "data/synth_scenes.hpp"
@@ -82,7 +81,7 @@ refOrder(std::size_t n, Rng *rng)
 }
 
 /**
- * Reference reimplementation of the legacy serial SegTrainer:
+ * Reference reimplementation of the legacy serial segmentation trainer:
  * calibration (probe 8), shuffled per-sample forward/backward with
  * batch-accumulated gradients and an Adam step per batch.
  */
@@ -144,7 +143,7 @@ legacySegLosses(DonnModel &model, const SegDataset &train,
 }
 
 /**
- * Reference reimplementation of the legacy serial RgbTrainer:
+ * Reference reimplementation of the legacy serial RGB trainer:
  * calibration (probe 8, shared amp factor), shuffled per-sample
  * forward/backward, Adam step per batch.
  */
@@ -247,31 +246,6 @@ TEST(SessionParity, RgbSerialMatchesLegacyBitForBit)
     ASSERT_EQ(history.size(), ref.size());
     for (std::size_t e = 0; e < ref.size(); ++e)
         EXPECT_EQ(history[e].train_loss, ref[e]) << "epoch " << e;
-}
-
-TEST(SessionParity, ShimsDelegateToSession)
-{
-    // The deprecated trainers must produce bit-identical histories to a
-    // directly constructed Task + Session.
-    ClassDataset train = makeSynthDigits(30, 3);
-
-    TrainConfig cfg;
-    cfg.epochs = 2;
-    cfg.batch = 8;
-    cfg.workers = 1;
-
-    DonnModel direct_model = classModel(9);
-    ClassificationTask task(direct_model, train);
-    std::vector<EpochStats> direct = Session(task, cfg).fit();
-
-    DonnModel shim_model = classModel(9);
-    std::vector<EpochStats> shim = Trainer(shim_model, cfg).fit(train);
-
-    ASSERT_EQ(direct.size(), shim.size());
-    for (std::size_t e = 0; e < direct.size(); ++e) {
-        EXPECT_EQ(direct[e].train_loss, shim[e].train_loss);
-        EXPECT_EQ(direct[e].train_acc, shim[e].train_acc);
-    }
 }
 
 TEST(SessionParallel, SegmentationWorkersTrainAsWellAsSerial)
@@ -406,106 +380,9 @@ TEST(SessionCallbacks, EarlyStopCallbackStopsOnPlateau)
     EXPECT_LT(history.size(), 40u);
 }
 
-TEST(SessionParity, ShimCalibrateZeroProbeIsNoOp)
-{
-    // Legacy trainers treated probe = 0 as "skip": no amp calibration,
-    // and fit() still calibrates later.
-    ClassDataset data = makeSynthDigits(20, 1);
-    DonnModel model = classModel(3);
-    Real amp_before = model.detector().ampFactor();
-
-    TrainConfig cfg;
-    Trainer trainer(model, cfg);
-    trainer.calibrate(data, 0);
-    EXPECT_EQ(model.detector().ampFactor(), amp_before);
-}
-
-TEST(SessionParity, SegShimCarriesCalibrationAcrossDatasetRebind)
-{
-    // calibrate(A) then fit(B) must train with A's intensity scale, like
-    // the legacy SegTrainer whose calibration lived in member state.
-    CityConfig ccfg;
-    ccfg.image_size = 16;
-    SegDataset calib_set = makeSynthCity(8, 1, ccfg);
-    SegDataset train_set = makeSynthCity(8, 2, ccfg);
-
-    DonnModel model = segModel(5);
-    TrainConfig cfg;
-    cfg.epochs = 1;
-    cfg.workers = 1;
-    SegTrainer trainer(model, cfg);
-    trainer.calibrate(calib_set);
-    Real scale = trainer.intensityScale();
-    EXPECT_NE(scale, 1.0);
-    trainer.fit(train_set);
-    EXPECT_EQ(trainer.intensityScale(), scale);
-}
-
-TEST(SessionPipeline, EqualLossConvergenceAcrossWorkerCounts)
-{
-    // The pipelined engine trains with one-step-stale replica parameters;
-    // it must converge to essentially the same loss as the synchronous
-    // schedule at every worker count (workers=1 falls back to the serial
-    // reference loop, so pipeline must be a no-op there).
-    ClassDataset train = makeSynthDigits(32, 1);
-
-    auto run = [&](std::size_t workers, bool pipeline) {
-        DonnModel model = classModel(9);
-        TrainConfig cfg;
-        cfg.epochs = 3;
-        cfg.batch = 8;
-        cfg.lr = 0.05;
-        cfg.workers = workers;
-        cfg.pipeline = pipeline;
-        ClassificationTask task(model, train);
-        return Session(task, cfg).fit();
-    };
-
-    auto reference = run(1, false);
-    for (std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                std::size_t{4}}) {
-        auto pipelined = run(workers, true);
-        ASSERT_EQ(pipelined.size(), reference.size()) << workers;
-        for (const EpochStats &stats : pipelined)
-            EXPECT_TRUE(std::isfinite(stats.train_loss)) << workers;
-        EXPECT_LE(pipelined.back().train_loss,
-                  pipelined.front().train_loss)
-            << workers << " workers: loss did not decrease";
-        EXPECT_NEAR(pipelined.back().train_loss,
-                    reference.back().train_loss,
-                    0.5 * std::abs(reference.back().train_loss) + 0.05)
-            << workers;
-    }
-}
-
-TEST(SessionPipeline, PipelinedRunsAreDeterministic)
-{
-    // Staleness is part of the schedule, not a race: two pipelined runs
-    // with the same config must agree bit for bit, regardless of thread
-    // timing.
-    ClassDataset train = makeSynthDigits(24, 2);
-    auto run = [&] {
-        DonnModel model = classModel(11);
-        TrainConfig cfg;
-        cfg.epochs = 2;
-        cfg.batch = 6;
-        cfg.workers = 3;
-        cfg.pipeline = true;
-        ClassificationTask task(model, train);
-        return Session(task, cfg).fit();
-    };
-    auto a = run();
-    auto b = run();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t e = 0; e < a.size(); ++e) {
-        EXPECT_EQ(a[e].train_loss, b[e].train_loss) << "epoch " << e;
-        EXPECT_EQ(a[e].train_acc, b[e].train_acc) << "epoch " << e;
-    }
-}
-
 /**
- * Reference reimplementation of the synchronous data-parallel schedule
- * (the pre-pipeline engine): per epoch, fresh replicas clone the primary;
+ * Reference reimplementation of the synchronous data-parallel schedule:
+ * per epoch, fresh replicas clone the primary;
  * per batch, replica r trains samples r, r+active, ... sequentially;
  * replica gradients merge into the primary in fixed replica order; one
  * Adam step; parameters redistributed. Noise-free layers only, so clone
@@ -569,11 +446,11 @@ referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
     return losses;
 }
 
-TEST(SessionPipeline, PipelineOffMatchesSynchronousReferenceBitwise)
+TEST(SessionParallel, MatchesSynchronousReferenceBitwise)
 {
-    // The escape hatch: pipeline=false must reproduce the synchronous
-    // replica schedule bit for bit, pinned against an independent
-    // reimplementation of that schedule (not against itself).
+    // The replica loop must reproduce the synchronous schedule bit for
+    // bit, pinned against an independent reimplementation of that
+    // schedule (not against itself).
     ClassDataset train = makeSynthDigits(13, 1); // ragged final batch
 
     TrainConfig cfg;
@@ -583,7 +460,6 @@ TEST(SessionPipeline, PipelineOffMatchesSynchronousReferenceBitwise)
     cfg.seed = 17;
     cfg.workers = 2;
     cfg.calibrate = false; // keep the reference loop minimal
-    EXPECT_FALSE(cfg.pipeline) << "pipeline must default to off";
 
     DonnModel ref_model = classModel(9);
     std::vector<Real> reference =
@@ -602,27 +478,18 @@ TEST(SessionDivergence, NonFiniteInputFailsLoudlyInEveryEpochLoop)
 {
     // One NaN pixel in sample 9 poisons its loss and gradients. With the
     // order unshuffled and batch 4, that is batch 2 of epoch 0 in the
-    // serial, synchronous-parallel and pipelined loops alike.
+    // serial and synchronous-parallel loops alike.
     ClassDataset train = makeSynthDigits(16, 1);
     train.images[9][0] = std::numeric_limits<Real>::quiet_NaN();
 
-    struct Schedule
-    {
-        std::size_t workers;
-        bool pipeline;
-    };
-    for (const Schedule schedule :
-         {Schedule{1, false}, Schedule{2, false}, Schedule{2, true}}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "workers=" << schedule.workers
-                     << " pipeline=" << schedule.pipeline);
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE(::testing::Message() << "workers=" << workers);
         DonnModel model = classModel(5);
         TrainConfig cfg;
         cfg.epochs = 2;
         cfg.batch = 4;
         cfg.shuffle = false;
-        cfg.workers = schedule.workers;
-        cfg.pipeline = schedule.pipeline;
+        cfg.workers = workers;
         ClassificationTask task(model, train);
         Session session(task, cfg);
         try {
@@ -639,50 +506,6 @@ TEST(SessionDivergence, NonFiniteInputFailsLoudlyInEveryEpochLoop)
         for (const ParamView &param : task.params())
             for (const Real v : *param.value)
                 ASSERT_TRUE(std::isfinite(v)) << param.name;
-    }
-}
-
-TEST(SessionPipeline, SegmentationAndRgbPipelineConverge)
-{
-    CityConfig ccfg;
-    ccfg.image_size = 16;
-    SegDataset seg_train = makeSynthCity(12, 1, ccfg);
-    {
-        DonnModel serial_model = segModel(7);
-        DonnModel pipe_model = segModel(7);
-        TrainConfig cfg;
-        cfg.epochs = 2;
-        cfg.batch = 6;
-        cfg.lr = 0.08;
-        cfg.workers = 1;
-        SegmentationTask serial_task(serial_model, seg_train);
-        auto serial = Session(serial_task, cfg).fit();
-        cfg.workers = 3;
-        cfg.pipeline = true;
-        SegmentationTask pipe_task(pipe_model, seg_train);
-        auto pipelined = Session(pipe_task, cfg).fit();
-        EXPECT_NEAR(pipelined.back().train_loss, serial.back().train_loss,
-                    0.5 * std::abs(serial.back().train_loss) + 0.05);
-    }
-    {
-        SceneConfig scfg;
-        scfg.image_size = 16;
-        RgbDataset rgb_train = makeSynthScenes(12, 1, scfg);
-        MultiChannelDonn serial_model = rgbModel(5, rgb_train.num_classes);
-        MultiChannelDonn pipe_model = rgbModel(5, rgb_train.num_classes);
-        TrainConfig cfg;
-        cfg.epochs = 2;
-        cfg.batch = 6;
-        cfg.lr = 0.03;
-        cfg.workers = 1;
-        RgbTask serial_task(serial_model, rgb_train);
-        auto serial = Session(serial_task, cfg).fit();
-        cfg.workers = 3;
-        cfg.pipeline = true;
-        RgbTask pipe_task(pipe_model, rgb_train);
-        auto pipelined = Session(pipe_task, cfg).fit();
-        EXPECT_NEAR(pipelined.back().train_loss, serial.back().train_loss,
-                    0.5 * std::abs(serial.back().train_loss) + 0.05);
     }
 }
 

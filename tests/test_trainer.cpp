@@ -72,7 +72,7 @@ TEST(SessionBehaviour, ParallelWorkersTrainAsWellAsSerial)
     auto parallel = runFit(3);
     ASSERT_EQ(serial.size(), parallel.size());
 
-    // Same data, same init: the data-parallel pipeline reorders gradient
+    // Same data, same init: the data-parallel replica loop reorders gradient
     // accumulation (and per-replica noise streams) but must train to a
     // comparable loss, not diverge.
     EXPECT_LT(parallel.back().train_loss, parallel.front().train_loss);

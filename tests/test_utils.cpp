@@ -189,7 +189,7 @@ TEST(ThreadPool, SerialFallbackWorks)
 
 TEST(ThreadPool, EnqueueRunsJobsWithCallerSignalling)
 {
-    // The pipelined trainer's primitive: fire-and-forget jobs plus a
+    // The shard prefetcher's primitive: fire-and-forget jobs plus a
     // caller-owned latch. Every job must run exactly once and the wait
     // must observe all of their writes.
     ThreadPool pool(4);

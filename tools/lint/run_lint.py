@@ -10,10 +10,9 @@ checks, with file/line diagnostics:
   banned-function      rand()/strtok()/gets()/printf() in library code:
                        non-reentrant, or bypasses the logging layer.
   deprecated-api       by-value propagation entry points (`x->forward(...)`
-                       on a propagation object, `submitLegacy`) outside the
-                       pinned compatibility shims and tests. New code uses
-                       the zero-allocation *Into / *InPlace APIs (PR 4) and
-                       the v2 submit() API.
+                       on a propagation object) in src/core, src/optics,
+                       src/hardware, src/serve and bench/. New code uses
+                       the zero-allocation *Into / *InPlace APIs.
   zero-alloc-hot-path  naked `Field` construction inside *Into / *InPlace
                        function bodies, inside the perturbation-sampler
                        hot path (fillHopPerturbation, samplePerturbation,
@@ -232,17 +231,9 @@ def rule_banned_function(ctx):
 DEPRECATED_API_RECEIVER_ALLOW = re.compile(
     r"(fft|plan|inner|detector)", re.IGNORECASE)
 
-# The pinned by-value compatibility shims themselves (PR 4 / v1 API): the
-# deprecated entry points are *defined* (and delegated from) here.
-DEPRECATED_API_EXEMPT_FILES = {
-    "src/serve/engine.hpp",
-    "src/serve/engine.cpp",
-}
-
 DEPRECATED_CALL_RE = re.compile(
     r"(?P<recv>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\.|->)\s*"
     r"(?P<meth>forward|adjoint)\s*\(")
-SUBMIT_LEGACY_RE = re.compile(r"\bsubmitLegacy\s*\(")
 
 DEPRECATED_API_SCOPES = ("src/core/", "src/optics/", "src/hardware/",
                          "src/serve/", "bench/")
@@ -251,8 +242,6 @@ DEPRECATED_API_SCOPES = ("src/core/", "src/optics/", "src/hardware/",
 def rule_deprecated_api(ctx):
     rel = rel_parts(ctx)
     if not rel.startswith(DEPRECATED_API_SCOPES):
-        return
-    if rel in DEPRECATED_API_EXEMPT_FILES:
         return
     for idx, line in enumerate(ctx.masked_lines, start=1):
         for m in DEPRECATED_CALL_RE.finditer(line):
@@ -264,11 +253,6 @@ def rule_deprecated_api(ctx):
                 "allocates per call; use the "
                 f"{m.group('meth')}Into/{m.group('meth')}InPlace API with a "
                 "PropagationWorkspace")
-        if SUBMIT_LEGACY_RE.search(line):
-            yield Violation(
-                "deprecated-api", ctx.rel, idx,
-                "submitLegacy() is the pinned v1 exception-style shim; new "
-                "code uses InferenceEngine::submit() and Expected results")
 
 
 # Function definitions whose body is a zero-allocation steady-state path:
