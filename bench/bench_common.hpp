@@ -9,8 +9,10 @@
 #include <filesystem>
 #include <string>
 
+#include "bench_build_info.hpp"
 #include "utils/cli.hpp"
 #include "utils/csv.hpp"
+#include "utils/json.hpp"
 
 namespace lightridge {
 namespace bench {
@@ -34,6 +36,18 @@ banner(const char *name, const char *anchor)
     std::printf("scale: %s   (set LR_BENCH_FULL=1 for paper-scale runs)\n",
                 benchFullScale() ? "FULL (paper)" : "QUICK (CI)");
     std::printf("==============================================================\n");
+}
+
+/**
+ * Stamp where a BENCH_*.json artifact came from: the git revision the
+ * bench was built from ("-dirty" when tracked files differed from it)
+ * and the compiler, build type and flags.
+ */
+inline void
+stampProvenance(Json *artifact)
+{
+    (*artifact)["git_sha"] = Json(LIGHTRIDGE_BENCH_GIT_SHA);
+    (*artifact)["build_flags"] = Json(LIGHTRIDGE_BENCH_BUILD_FLAGS);
 }
 
 /** Save a CSV and announce where it went. */

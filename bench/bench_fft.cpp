@@ -10,9 +10,9 @@
  *    fft2 + Hadamard + ifft2 pass, run strictly serially (96^2 is the
  *    2^5 * 3 mixed-radix grid of the 96x96 training workload). Gate:
  *    >= 1.5x at 512x512 when the SIMD kernel set is compiled in.
- *  - "one_d": per-length 1-D plan timings covering the radix-2/4
- *    (pow-2), radix-3-outermost (2^k * 3), generic mixed-radix, and
- *    Bluestein code paths.
+ *  - "one_d": per-length 1-D plan forward and inverse timings covering
+ *    the power-of-two, radix-3-outermost (2^k * 3), generic
+ *    mixed-radix, and Bluestein code paths.
  *  - "row_parallel": fft2 wall time with 1/2/4-worker pools. The scaling
  *    gate (>= 1.3x at 4 workers) only applies when the host has >= 4
  *    hardware threads, so single-CPU runners report without failing.
@@ -105,6 +105,7 @@ main()
     artifact["scale"] = Json(benchFullScale() ? "full" : "quick");
     artifact["simd_compiled"] = Json(simdKernelsCompiled());
     artifact["hw_threads"] = Json(hw_threads);
+    bench::stampProvenance(&artifact);
 
     // ThreadPool(1) is coerced to inline (0-worker) execution, which
     // forces the strictly serial path even on many-core hosts, so the
@@ -181,47 +182,76 @@ main()
                               {"mixed_radix_192", 192},
                               {"mixed_radix", 500},
                               {"bluestein_prime", 509}};
-    std::printf("\n1-D plan forward (batch of 512 transforms)\n");
-    std::printf("%-18s %6s %12s %12s %9s\n", "path", "n", "scalar_ms",
-                "simd_ms", "speedup");
+    std::printf("\n1-D plan forward and inverse (256 transforms each)\n");
+    std::printf("%-18s %6s %10s %10s %10s %10s %9s\n", "path", "n",
+                "scalar_fwd", "scalar_inv", "simd_fwd", "simd_inv",
+                "speedup");
 
     Json one_d_rows;
     for (const OneD &c : lengths) {
         auto plan = acquireFftPlan(c.n);
-        std::vector<Complex> work(c.n);
+        // A ring of distinct signals, each taken forward and then back
+        // per sweep, keeps the signal scale fixed across reps (an
+        // unnormalized forward grows by sqrt(n) per application) while
+        // the two directions are timed separately.
+        constexpr int kRing = 16, kSweeps = 16;
         Rng rng(13);
-        for (auto &v : work)
-            v = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-        const int batch = 256;
+        std::vector<std::vector<Complex>> ring(kRing,
+                                               std::vector<Complex>(c.n));
+        for (auto &signal : ring)
+            for (auto &v : signal)
+                v = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
 
-        // Forward/inverse pairs keep the signal scale fixed across reps
-        // (an unnormalized forward grows by sqrt(n) per application) and
-        // exercise both transform directions of the same kernels.
-        auto run_batch = [&] {
-            for (int b = 0; b < batch; ++b) {
-                plan->forward(work.data());
-                plan->inverse(work.data());
-            }
+        struct Times
+        {
+            double fwd_ms = 0, inv_ms = 0;
         };
-        double scalar_ms, simd_ms = 0;
+        auto run_batch = [&] {
+            Times t;
+            for (int s = 0; s < kSweeps; ++s) {
+                WallTimer fwd;
+                for (auto &signal : ring)
+                    plan->forward(signal.data());
+                t.fwd_ms += fwd.milliseconds();
+                WallTimer inv;
+                for (auto &signal : ring)
+                    plan->inverse(signal.data());
+                t.inv_ms += inv.milliseconds();
+            }
+            return t;
+        };
+        auto median_times = [&] {
+            run_batch(); // warm scratch and caches
+            std::vector<double> fwd, inv;
+            for (int r = 0; r < 5; ++r) {
+                Times t = run_batch();
+                fwd.push_back(t.fwd_ms);
+                inv.push_back(t.inv_ms);
+            }
+            return Times{medianMs(fwd), medianMs(inv)};
+        };
+        Times scalar, simd;
         {
             FftKernelModeGuard guard(FftKernelMode::Scalar);
-            run_batch();
-            scalar_ms = timeMs(5, run_batch);
+            scalar = median_times();
         }
         if (simdKernelsCompiled()) {
             FftKernelModeGuard guard(FftKernelMode::Simd);
-            run_batch();
-            simd_ms = timeMs(5, run_batch);
+            simd = median_times();
         }
-        double speedup = simd_ms > 0 ? scalar_ms / simd_ms : 0;
-        std::printf("%-18s %6zu %12.2f %12.2f %8.2fx\n", c.path, c.n,
-                    scalar_ms, simd_ms, speedup);
+        const double simd_pair = simd.fwd_ms + simd.inv_ms;
+        const double speedup =
+            simd_pair > 0 ? (scalar.fwd_ms + scalar.inv_ms) / simd_pair : 0;
+        std::printf("%-18s %6zu %10.3f %10.3f %10.3f %10.3f %8.2fx\n",
+                    c.path, c.n, scalar.fwd_ms, scalar.inv_ms, simd.fwd_ms,
+                    simd.inv_ms, speedup);
         Json row;
         row["path"] = Json(c.path);
         row["n"] = Json(c.n);
-        row["scalar_ms"] = Json(scalar_ms);
-        row["simd_ms"] = Json(simd_ms);
+        row["scalar_fwd_ms"] = Json(scalar.fwd_ms);
+        row["scalar_inv_ms"] = Json(scalar.inv_ms);
+        row["simd_fwd_ms"] = Json(simd.fwd_ms);
+        row["simd_inv_ms"] = Json(simd.inv_ms);
         row["speedup"] = Json(speedup);
         one_d_rows.push(std::move(row));
     }

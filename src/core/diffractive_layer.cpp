@@ -1,11 +1,30 @@
 #include "core/diffractive_layer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
+#include "fft/kernels.hpp"
 #include "optics/perturbation.hpp"
 
 namespace lightridge {
+
+namespace {
+
+// Interleaved (re, im) views for the element-wise kernels.
+Real *
+reals(Field &f)
+{
+    return reinterpret_cast<Real *>(f.data());
+}
+
+const Real *
+reals(const Field &f)
+{
+    return reinterpret_cast<const Real *>(f.data());
+}
+
+} // namespace
 
 DiffractiveLayer::DiffractiveLayer(
     std::shared_ptr<const Propagator> propagator, Real gamma, Rng *rng)
@@ -31,7 +50,6 @@ DiffractiveLayer::DiffractiveLayer(const DiffractiveLayer &other)
     : propagator_(other.propagator_), gamma_(other.gamma_),
       phase_(other.phase_), phase_grad_(other.phase_grad_),
       modulation_(other.modulation_),
-      modulation_conj_(other.modulation_conj_),
       modulation_phase_(other.modulation_phase_),
       infer_modulation_(other.publishedModulation()),
       cached_diffracted_(other.cached_diffracted_),
@@ -70,11 +88,8 @@ DiffractiveLayer::ensureModulation()
                     size * sizeof(Real)) == 0)
         return;
     ensureFieldShape(modulation_, phase_.rows(), phase_.cols());
-    ensureFieldShape(modulation_conj_, phase_.rows(), phase_.cols());
-    for (std::size_t i = 0; i < size; ++i) {
+    for (std::size_t i = 0; i < size; ++i)
         modulation_[i] = std::polar(Real(1), phase_[i]);
-        modulation_conj_[i] = std::polar(Real(1), -phase_[i]);
-    }
     modulation_phase_ = phase_;
 }
 
@@ -94,23 +109,16 @@ DiffractiveLayer::forwardInPlace(Field &u, bool training,
                      cached_diffracted_.cols());
     ensureFieldShape(u, cached_diffracted_.rows(),
                      cached_diffracted_.cols());
-    if (p && p->has_noise) {
-        // The phase screen multiplies into cached_out_ as well, so the
-        // phase-gradient identity dL/dphi = Re(conj(G) * j * U_out) in
-        // backwardInPlace() holds unchanged under noise.
-        for (std::size_t i = 0; i < cached_out_.size(); ++i) {
-            Complex v = gamma_ * cached_diffracted_[i] * modulation_[i] *
-                        p->noise[i];
-            cached_out_[i] = v;
-            u[i] = v;
-        }
-        return;
-    }
-    for (std::size_t i = 0; i < cached_out_.size(); ++i) {
-        Complex v = gamma_ * cached_diffracted_[i] * modulation_[i];
-        cached_out_[i] = v;
-        u[i] = v;
-    }
+    kernels::cmulScaledInterleaved(reals(cached_out_),
+                                   reals(cached_diffracted_), gamma_,
+                                   reals(modulation_), cached_out_.size());
+    // The phase screen multiplies into cached_out_ as well, so the
+    // phase-gradient identity dL/dphi = Re(conj(G) * j * U_out) in
+    // backwardInPlace() holds unchanged under noise.
+    if (p && p->has_noise)
+        kernels::cmulInterleaved(reals(cached_out_), reals(p->noise),
+                                 cached_out_.size());
+    std::copy_n(cached_out_.data(), cached_out_.size(), u.data());
 }
 
 std::shared_ptr<const DiffractiveLayer::InferModulation>
@@ -138,14 +146,10 @@ DiffractiveLayer::inferInPlace(Field &u,
     std::shared_ptr<const InferModulation> mod = inferModulation();
     const LayerPerturbation *p = perturb_;
     propagator_->forwardInto(u, u, workspace, p ? &p->hop : nullptr);
-    const Field &table = mod->table;
-    if (p && p->has_noise) {
-        for (std::size_t i = 0; i < u.size(); ++i)
-            u[i] = gamma_ * u[i] * table[i] * p->noise[i];
-        return;
-    }
-    for (std::size_t i = 0; i < u.size(); ++i)
-        u[i] = gamma_ * u[i] * table[i];
+    kernels::cmulScaledInterleaved(reals(u), reals(u), gamma_,
+                                   reals(mod->table), u.size());
+    if (p && p->has_noise)
+        kernels::cmulInterleaved(reals(u), reals(p->noise), u.size());
 }
 
 LayerPtr
@@ -168,21 +172,16 @@ DiffractiveLayer::backwardInPlace(Field &g, PropagationWorkspace &workspace)
     ensureModulation();
     // dL/dphi = Re(conj(G_out) * j * U_out): the phase rotates the output
     // in the complex plane, so its gradient is the tangential component.
-    for (std::size_t i = 0; i < phase_grad_.size(); ++i) {
-        Complex tangent = kJ * cached_out_[i];
-        phase_grad_[i] += std::real(std::conj(g[i]) * tangent);
-    }
+    kernels::accumulatePhaseGrad(phase_grad_.data(), reals(g),
+                                 reals(cached_out_), phase_grad_.size());
 
     const LayerPerturbation *p = perturb_;
     // G before modulation: G_diff = G_out * conj(gamma * e^{j phi}),
     // times conj(e^{j eps}) when a phase screen was applied.
-    if (p && p->has_noise) {
-        for (std::size_t i = 0; i < g.size(); ++i)
-            g[i] = g[i] * gamma_ * modulation_conj_[i] * p->noise_conj[i];
-    } else {
-        for (std::size_t i = 0; i < g.size(); ++i)
-            g[i] = g[i] * gamma_ * modulation_conj_[i];
-    }
+    kernels::cmulConjScaledInterleaved(reals(g), gamma_, reals(modulation_),
+                                       g.size());
+    if (p && p->has_noise)
+        kernels::cmulInterleaved(reals(g), reals(p->noise_conj), g.size());
 
     propagator_->adjointInto(g, g, workspace, p ? &p->hop : nullptr);
 }

@@ -68,12 +68,12 @@ class DiffractiveLayer : public Layer
 
   private:
     /**
-     * Rebuild the cached modulation tables exp(j*phi) / exp(-j*phi) if
-     * the phase mask changed since they were built (bitwise snapshot
-     * compare). Evaluating sincos over the full mask per sample
-     * dominated the train step; with the cache it runs once per
-     * optimizer step. Values are the exact std::polar results the
-     * uncached loops produced, so training stays bitwise-identical.
+     * Rebuild the cached modulation table exp(j*phi) if the phase mask
+     * changed since it was built (bitwise snapshot compare). Evaluating
+     * sincos over the full mask per sample dominated the train step;
+     * with the cache it runs once per optimizer step. Values are the
+     * exact std::polar results the uncached loops produced, so training
+     * stays bitwise-identical.
      * Training-path only: infer() keeps computing polar directly and
      * stays safe for concurrent use of a shared instance.
      */
@@ -109,10 +109,10 @@ class DiffractiveLayer : public Layer
     RealMap phase_;
     RealMap phase_grad_;
 
-    // Modulation cache (training only; see ensureModulation()).
+    // Modulation cache (training only; see ensureModulation()). The
+    // backward pass multiplies by its conjugate in the same kernel.
     Field modulation_;
-    Field modulation_conj_;
-    RealMap modulation_phase_; ///< snapshot the tables were built from
+    RealMap modulation_phase_; ///< snapshot the table was built from
 
     // Shared-instance inference cache (see inferModulation()).
     mutable Mutex infer_cache_mutex_;

@@ -1,9 +1,9 @@
 #include "fft/fft.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "utils/sync.hpp"
@@ -33,27 +33,30 @@ factorize(std::size_t n)
 }
 
 /**
- * Radix sequence for the SIMD engine, outermost level first: the odd
- * prime factors, largest first, then pairs of 2s fused into radix-4
- * levels (half the combine passes over the dominant power-of-two part),
- * then any leftover 2. Radix-2/3/4 levels run specialized butterflies;
- * odd radices go outermost because every SoA kernel vectorizes over the
- * m = n_level / p unit-stride lanes of its level, and m is widest at the
- * top. An odd radix innermost would run at m = 1: one scalar combine per
- * block. The largest (costliest generic) radix gets the widest level.
- * Power-of-two lengths keep the plain [4, ..., 4, (2)] sequence.
+ * Combine radices for the SIMD engine, outermost level first: the odd
+ * prime factors, largest first, then radix-4 levels over the power-of-two
+ * part. What the radices leave of n is the leaf, run by a hard-coded
+ * codelet: 8 for an odd count of 2s, 4 for an even one (so no radix-2
+ * level is left over), 1 or 2 below that. 96 = 3 * 2^5 runs [3, 4] over
+ * leaf 8, 32 runs [4] over leaf 8, 64 runs [4, 4] over leaf 4. (A
+ * 16-point codelet measured slower than [4] over leaf 4: its 32 live
+ * values spill on SSE2.) Odd radices go outermost because every SoA
+ * combine vectorizes over the m = n_level / p unit-stride lanes of its
+ * level, and m is widest at the top; the largest (costliest generic)
+ * radix gets the widest level.
  */
 std::vector<std::size_t>
 groupFactorsForSimd(const std::vector<std::size_t> &factors)
 {
     const auto twos = static_cast<std::size_t>(
         std::count(factors.begin(), factors.end(), std::size_t(2)));
+    std::size_t leaf_twos = twos; // leaf 1, 2 or 4
+    if (twos >= 3)
+        leaf_twos = twos % 2 != 0 ? 3 : 2;
     // factorize() lists primes ascending, so reversed and minus the
     // trailing 2s this is the odd factors, largest first.
     std::vector<std::size_t> out(factors.rbegin(), factors.rend() - twos);
-    out.insert(out.end(), twos / 2, 4);
-    if (twos % 2 != 0)
-        out.push_back(2);
+    out.insert(out.end(), (twos - leaf_twos) / 2, 4);
     return out;
 }
 
@@ -118,12 +121,14 @@ struct FftPlan::Impl
     std::vector<std::size_t> level_sizes;
     std::vector<std::vector<Complex>> twiddles; // per level, length n_level
 
-    // Mixed-radix state for the SoA/SIMD engine. Per level with radix p
-    // over blocks of length n_level = p * m:
+    // Mixed-radix state for the SoA/SIMD engine: combine levels over
+    // simd_factors, the recursion ending in a leaf codelet of length
+    // n / prod(simd_factors). Per level with radix p over blocks of
+    // length n_level = p * m:
     //  - simd_tw holds p-1 unit-stride sub-tables of length m each,
     //    tw[(j-1)*m + k] = exp(-j*2*pi*(j*k)/n_level), j in 1..p-1;
     //  - simd_dft holds the p*p DFT matrix exp(-j*2*pi*t*j/p) for the
-    //    generic-radix kernel (unused for the specialized p = 2, 3, 4).
+    //    generic-radix kernel (unused for the specialized p = 3, 4).
     std::vector<std::size_t> simd_factors;
     std::vector<std::vector<Real>> simd_tw_re, simd_tw_im;
     std::vector<std::vector<Real>> simd_dft_re, simd_dft_im;
@@ -142,10 +147,10 @@ struct FftPlan::Impl
                  std::size_t n_cur, std::size_t level) const;
     void combine(Complex *out, std::size_t n_cur, std::size_t p,
                  std::size_t level) const;
-    void executeMixedSimd(Complex *data) const;
-    void recurseSoa(const Real *in, std::size_t in_stride, Real *out_re,
-                    Real *out_im, std::size_t n_cur, std::size_t level,
-                    SoaScratch *scratch) const;
+    void executeMixedSimd(Complex *data, bool inverse) const;
+    void recurseSoa(const Real *in_re, const Real *in_im, std::size_t step,
+                    Real *out_re, Real *out_im, std::size_t n_cur,
+                    std::size_t level, SoaScratch *scratch) const;
     void combineSoa(Real *re, Real *im, std::size_t n_cur, std::size_t p,
                     std::size_t level, SoaScratch *scratch) const;
     void executeBluestein(Complex *data) const;
@@ -321,10 +326,6 @@ FftPlan::Impl::combineSoa(Real *re, Real *im, std::size_t n_cur,
     const Real *tw_re = simd_tw_re[level].data();
     const Real *tw_im = simd_tw_im[level].data();
 
-    if (p == 2) {
-        kernels::radix2Pass(re, im, tw_re, tw_im, m_cur);
-        return;
-    }
     if (p == 3) {
         kernels::radix3Pass(re, im, tw_re, tw_im, m_cur);
         return;
@@ -359,68 +360,59 @@ FftPlan::Impl::combineSoa(Real *re, Real *im, std::size_t n_cur,
 }
 
 /**
- * SoA recursion over interleaved input: `in` points at complex sample 0
- * of the sub-transform, strided by `in_stride` complex samples. Reading
- * the interleaved data directly at the gather points saves a full
- * deinterleave pass, and the deepest levels (twiddle-free 2- and 4-point
- * transforms) are unrolled to cut leaf-call overhead.
+ * SoA recursion over interleaved input: sample t of the sub-transform is
+ * (in_re[t * step], in_im[t * step]), step counted in Reals. Reading the
+ * interleaved data directly at the gather points saves a deinterleave
+ * pass. The last combine level hands all p of its children to one
+ * batched leaf-codelet call, so a 96-point transform makes 4 recursive
+ * calls instead of descending to 2-point transforms.
  */
 void
-FftPlan::Impl::recurseSoa(const Real *in, std::size_t in_stride,
-                          Real *out_re, Real *out_im, std::size_t n_cur,
-                          std::size_t level, SoaScratch *scratch) const
+FftPlan::Impl::recurseSoa(const Real *in_re, const Real *in_im,
+                          std::size_t step, Real *out_re, Real *out_im,
+                          std::size_t n_cur, std::size_t level,
+                          SoaScratch *scratch) const
 {
-    const std::size_t step = 2 * in_stride; // Reals per complex stride
-    if (n_cur == 1) {
-        out_re[0] = in[0];
-        out_im[0] = in[1];
-        return;
-    }
-    if (n_cur == 2) { // last level is always radix-2, twiddles are 1
-        Real a0r = in[0], a0i = in[1];
-        Real a1r = in[step], a1i = in[step + 1];
-        out_re[0] = a0r + a1r;
-        out_im[0] = a0i + a1i;
-        out_re[1] = a0r - a1r;
-        out_im[1] = a0i - a1i;
-        return;
-    }
     const std::size_t p = simd_factors[level];
-    if (n_cur == 4 && p == 4) { // twiddle-free 4-point leaf (W_4 = -j)
-        Real a0r = in[0], a0i = in[1];
-        Real a1r = in[step], a1i = in[step + 1];
-        Real a2r = in[2 * step], a2i = in[2 * step + 1];
-        Real a3r = in[3 * step], a3i = in[3 * step + 1];
-        Real s0r = a0r + a2r, s0i = a0i + a2i;
-        Real s1r = a0r - a2r, s1i = a0i - a2i;
-        Real s2r = a1r + a3r, s2i = a1i + a3i;
-        Real s3r = a1r - a3r, s3i = a1i - a3i;
-        out_re[0] = s0r + s2r;
-        out_im[0] = s0i + s2i;
-        out_re[1] = s1r + s3i;
-        out_im[1] = s1i - s3r;
-        out_re[2] = s0r - s2r;
-        out_im[2] = s0i - s2i;
-        out_re[3] = s1r - s3i;
-        out_im[3] = s1i + s3r;
-        return;
-    }
     const std::size_t m_cur = n_cur / p;
-    for (std::size_t j = 0; j < p; ++j)
-        recurseSoa(in + j * step, in_stride * p, out_re + j * m_cur,
-                   out_im + j * m_cur, m_cur, level + 1, scratch);
+    if (level + 1 == simd_factors.size()) {
+        kernels::dftLeaves(m_cur, p, in_re, in_im, step * p, step, out_re,
+                           out_im);
+    } else {
+        for (std::size_t j = 0; j < p; ++j)
+            recurseSoa(in_re + j * step, in_im + j * step, step * p,
+                       out_re + j * m_cur, out_im + j * m_cur, m_cur,
+                       level + 1, scratch);
+    }
     combineSoa(out_re, out_im, n_cur, p, level, scratch);
 }
 
+/**
+ * Forward or inverse transform on the SoA engine. The inverse uses
+ * IDFT(x) = swap(DFT(swap(x))) / n, where swap exchanges real and
+ * imaginary parts: the leaves load with re/im exchanged and the final
+ * interleave writes them back exchanged and scaled, so the inverse costs
+ * the same passes as the forward.
+ */
 void
-FftPlan::Impl::executeMixedSimd(Complex *data) const
+FftPlan::Impl::executeMixedSimd(Complex *data, bool inverse) const
 {
     SoaScratch &scratch = tlsSoaScratch(n);
     Real *interleaved = reinterpret_cast<Real *>(data);
-    recurseSoa(interleaved, 1, scratch.out_re.data(), scratch.out_im.data(),
-               n, 0, &scratch);
-    kernels::interleave(scratch.out_re.data(), scratch.out_im.data(),
-                        interleaved, n);
+    Real *re = scratch.out_re.data();
+    Real *im = scratch.out_im.data();
+    const std::size_t swap = inverse ? 1 : 0;
+    const Real *in_re = interleaved + swap;
+    const Real *in_im = interleaved + 1 - swap;
+    if (simd_factors.empty()) // n is itself a leaf length
+        kernels::dftLeaves(n, 1, in_re, in_im, 2, 0, re, im);
+    else
+        recurseSoa(in_re, in_im, 2, re, im, n, 0, &scratch);
+    if (inverse)
+        kernels::interleaveScaled(im, re, interleaved,
+                                  Real(1) / static_cast<Real>(n), n);
+    else
+        kernels::interleave(re, im, interleaved, n);
 }
 
 void
@@ -501,7 +493,7 @@ FftPlan::forward(Complex *data) const
         return;
     }
     if (simdKernelsCompiled() && fftKernelMode() == FftKernelMode::Simd)
-        impl_->executeMixedSimd(data);
+        impl_->executeMixedSimd(data, false);
     else
         impl_->executeMixed(data);
 }
@@ -512,6 +504,12 @@ FftPlan::inverse(Complex *data) const
     const std::size_t n = impl_->n;
     if (n == 1)
         return;
+    if (!impl_->bluestein && simdKernelsCompiled() &&
+        fftKernelMode() == FftKernelMode::Simd) {
+        impl_->executeMixedSimd(data, true);
+        return;
+    }
+    // Scalar reference and Bluestein: conjugate around the forward.
     for (std::size_t i = 0; i < n; ++i)
         data[i] = std::conj(data[i]);
     forward(data);
@@ -659,9 +657,20 @@ Fft2d::transformColumns(Field *field, bool inverse, ThreadPool *pool) const
 }
 
 void
+Fft2d::checkShape(const Field &field) const
+{
+    if (field.rows() == rows_ && field.cols() == cols_)
+        return;
+    throw std::invalid_argument(
+        "Fft2d: field is " + std::to_string(field.rows()) + "x" +
+        std::to_string(field.cols()) + " but the plan is " +
+        std::to_string(rows_) + "x" + std::to_string(cols_));
+}
+
+void
 Fft2d::forward(Field *field, ThreadPool *pool) const
 {
-    assert(field->rows() == rows_ && field->cols() == cols_);
+    checkShape(*field);
     transformRows(field, false, pool);
     transformColumns(field, false, pool);
 }
@@ -669,7 +678,7 @@ Fft2d::forward(Field *field, ThreadPool *pool) const
 void
 Fft2d::inverse(Field *field, ThreadPool *pool) const
 {
-    assert(field->rows() == rows_ && field->cols() == cols_);
+    checkShape(*field);
     transformRows(field, true, pool);
     transformColumns(field, true, pool);
 }

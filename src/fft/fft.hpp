@@ -15,13 +15,21 @@
  *    threads; per-call scratch lives in thread-local storage.
  *  - Inner loops run through the kernel-dispatch layer (fft/kernels.hpp):
  *    the default Simd mode executes split real/imag structure-of-arrays
- *    butterflies (radix-2/3/4 specialized, odd radices outermost, generic
+ *    butterflies (radix-3/4 specialized, odd radices outermost, generic
  *    radix 5..31 through SoA twiddle products) and vectorized
  *    chirp/Hadamard products; Scalar mode keeps the original
  *    std::complex loops as the bit-reference. Odd radices go outermost
  *    because a level's butterflies vectorize over its unit-stride vector
  *    length m = n_level / p, which is widest at the top; innermost, an
  *    odd radix would run one scalar combine per block at m = 1.
+ *  - The Simd recursion ends in hard-coded leaf codelets (8 points when
+ *    the length has an odd number >= 3 of factors 2, else 4, 2 or 1)
+ *    that read the strided interleaved input directly, so 96 = [3, 4]
+ *    over 8-point leaves makes 4 recursive calls, not 64. The Simd
+ *    inverse is conjugation-free: IDFT(x) = swap(DFT(swap(x))) / n with
+ *    swap exchanging real and imaginary parts, folded into the leaf
+ *    loads and the final interleave, so it costs what the forward costs.
+ *    Scalar mode and Bluestein lengths conjugate around the forward.
  *  - Fft2d shards the independent 1-D row and column transforms of one
  *    large grid across the process thread pool (row-parallel FFT2). The
  *    split is deterministic: results are bitwise-identical to the serial
@@ -101,13 +109,18 @@ class Fft2d
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
-    /** In-place forward 2-D DFT. Field shape must match the plan. */
+    /**
+     * In-place forward 2-D DFT. Throws std::invalid_argument, naming both
+     * shapes, when the field's shape does not match the plan.
+     */
     void forward(Field *field, ThreadPool *pool = nullptr) const;
 
-    /** In-place inverse 2-D DFT (scaled by 1/(rows*cols)). */
+    /** In-place inverse 2-D DFT (scaled by 1/(rows*cols)); same shape
+     *  check as forward(). */
     void inverse(Field *field, ThreadPool *pool = nullptr) const;
 
   private:
+    void checkShape(const Field &field) const;
     void transformRows(Field *field, bool inverse, ThreadPool *pool) const;
     void transformColumns(Field *field, bool inverse, ThreadPool *pool) const;
 

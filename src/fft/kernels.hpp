@@ -24,6 +24,10 @@
  * Scalar results; the contract, enforced by tests, is agreement within
  * kFftKernelTolerance * n for unit-magnitude inputs of length n. Within
  * one mode, results are deterministic and independent of thread count.
+ * The diffractive-layer kernels (cmulScaledInterleaved,
+ * cmulConjScaledInterleaved, accumulatePhaseGrad) are not dispatched:
+ * they reproduce their std::complex expressions bit for bit and run in
+ * both modes.
  */
 #pragma once
 
@@ -88,14 +92,6 @@ class FftKernelModeGuard
 namespace kernels {
 
 /**
- * Radix-2 butterfly pass over one combine block.
- * data layout: x0 = (re[k], im[k]), x1 = (re[m+k], im[m+k]), k in [0, m).
- * Computes x0' = x0 + tw[k]*x1, x1' = x0 - tw[k]*x1 in place.
- */
-void radix2Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
-                std::size_t m);
-
-/**
  * Radix-3 butterfly pass over one combine block of length 3m.
  * Twiddle arrays hold two unit-stride sub-tables of length m each:
  * tw_re[j*m + k] = Re(W_{3m}^{(j+1)k}) for j in {0,1}.
@@ -110,6 +106,20 @@ void radix3Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
  */
 void radix4Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
                 std::size_t m);
+
+/**
+ * Leaf codelets: `count` complete n-point forward DFTs, n in
+ * {1, 2, 4, 8}, each a hard-coded straight-line transform with
+ * constant twiddles. Block b reads its samples straight from strided
+ * interleaved storage — sample t is (in_re[b*block_step + t*step],
+ * in_im[b*block_step + t*step]), steps counted in Reals — and writes
+ * split out_re/out_im[b*n + t]. Passing in_re = base + 1 and
+ * in_im = base swaps real and imaginary parts on load, which is how the
+ * plan's conjugation-free inverse enters the transform.
+ */
+void dftLeaves(std::size_t n, std::size_t count, const Real *in_re,
+               const Real *in_im, std::size_t step, std::size_t block_step,
+               Real *out_re, Real *out_im);
 
 /** out = a * b, element-wise complex multiply over split arrays. */
 void cmulSoa(Real *out_re, Real *out_im, const Real *a_re, const Real *a_im,
@@ -138,8 +148,40 @@ void cmulConjInterleaved(Real *a, const Real *b, std::size_t n);
 void cmulInterleavedOut(Real *dst, const Real *a, const Real *b,
                         std::size_t n);
 
+/**
+ * dst = (scale * a) * b element-wise over interleaved complex arrays,
+ * evaluated as the std::complex expression scale * a * b is (without its
+ * NaN fixup), so the results match it bitwise. dst may alias a. This is
+ * a diffractive layer's modulation gamma * U * exp(j*phi).
+ */
+void cmulScaledInterleaved(Real *dst, const Real *a, Real scale,
+                           const Real *b, std::size_t n);
+
+/**
+ * a = (scale * a) * conj(b) element-wise over interleaved complex arrays:
+ * the gradient through a layer's modulation, bitwise equal to the
+ * std::complex expression a * scale * conj(b).
+ */
+void cmulConjScaledInterleaved(Real *a, Real scale, const Real *b,
+                               std::size_t n);
+
+/**
+ * grad[i] += Re(conj(g_i) * j * u_i) = Im(g_i) Re(u_i) - Re(g_i) Im(u_i)
+ * for n interleaved complex g, u and real grad: the phase gradient of a
+ * unit-modulus modulation whose output is u and output gradient g.
+ */
+void accumulatePhaseGrad(Real *grad, const Real *g, const Real *u,
+                         std::size_t n);
+
 /** Merge re[]/im[] back into n interleaved complex samples. */
 void interleave(const Real *re, const Real *im, Real *dst, std::size_t n);
+
+/**
+ * interleave() with every sample scaled by `scale`. Called with re and
+ * im exchanged, it is the swap-and-1/n epilogue of the inverse transform.
+ */
+void interleaveScaled(const Real *re, const Real *im, Real *dst, Real scale,
+                      std::size_t n);
 
 /**
  * dst = +/- src over n interleaved complex samples with the sign

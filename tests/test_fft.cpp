@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "fft/fft.hpp"
 #include "oracle/dft_oracle.hpp"
@@ -179,6 +181,34 @@ TEST(Fft2d, ImpulseAtOriginIsFlat)
     fft.forward(&f);
     for (std::size_t i = 0; i < f.size(); ++i)
         EXPECT_NEAR(std::abs(f[i] - Complex{1, 0}), 0.0, 1e-10);
+}
+
+TEST(Fft2d, WrongFieldShapeThrowsNamingBothShapes)
+{
+    Fft2d fft(8, 12);
+    for (Field f : {Field(12, 8), Field(8, 11), Field(16, 12)}) {
+        const Field before = f;
+        for (bool inverse : {false, true}) {
+            try {
+                if (inverse)
+                    fft.inverse(&f);
+                else
+                    fft.forward(&f);
+                ADD_FAILURE() << "no throw for " << f.rows() << "x"
+                              << f.cols();
+            } catch (const std::invalid_argument &e) {
+                const std::string shape = std::to_string(f.rows()) + "x" +
+                                          std::to_string(f.cols());
+                EXPECT_NE(std::string(e.what()).find(shape),
+                          std::string::npos)
+                    << e.what();
+                EXPECT_NE(std::string(e.what()).find("8x12"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        EXPECT_EQ(maxAbsDiff(f, before), 0.0) << "field was modified";
+    }
 }
 
 TEST(FftShift, EvenSizeIsInvolution)

@@ -214,6 +214,47 @@ INSTANTIATE_TEST_SUITE_P(
     paramName);
 
 /**
+ * Lengths that reach every SIMD schedule shape: each leaf codelet
+ * (1, 2, 4, 8 points), leaves under radix-3 and radix-4 combines, a
+ * generic odd radix with no power-of-two part (105 = 7 * 5 * 3), and a
+ * Bluestein prime.
+ */
+const std::vector<std::size_t> kInversePathLengths{
+    1, 2, 3, 4, 8, 16, 24, 32, 40, 48, 96, 192, 105, 37};
+
+class FftInverseTest : public ::testing::TestWithParam<FftKernelMode>
+{
+  protected:
+    void SetUp() override { guard_.emplace(GetParam()); }
+
+  private:
+    std::optional<FftKernelModeGuard> guard_;
+};
+
+TEST_P(FftInverseTest, InverseMatchesScaledOracle)
+{
+    for (std::size_t n : kInversePathLengths) {
+        FftPlan plan(n);
+        auto x = randomSignal(n, 7000 + n);
+        auto fast = x;
+        plan.inverse(fast.data());
+        auto slow = oracle::dft1d(x, +1);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_NEAR(std::abs(fast[i] - slow[i] / static_cast<Real>(n)),
+                        0.0, 1e-12 * n)
+                << "n=" << n << " i=" << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelModes, FftInverseTest,
+    ::testing::Values(FftKernelMode::Scalar, FftKernelMode::Simd),
+    [](const ::testing::TestParamInfo<FftKernelMode> &info) {
+        return std::string(info.param == FftKernelMode::Simd ? "Simd"
+                                                             : "Scalar");
+    });
+
+/**
  * Cross-kernel contract: Scalar and Simd kernels agree within
  * kFftKernelTolerance * n for unit-magnitude inputs (fft/kernels.hpp).
  * Only meaningful when both kernel sets are compiled in.
@@ -247,6 +288,29 @@ TEST_F(ScalarVsSimd, OneDTransformsWithinPinnedTolerance)
         {
             FftKernelModeGuard guard(FftKernelMode::Simd);
             plan.forward(simd.data());
+        }
+        Real worst = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            worst = std::max(worst, std::abs(scalar[i] - simd[i]));
+        EXPECT_LE(worst, kFftKernelTolerance * static_cast<Real>(n))
+            << "n=" << n;
+    }
+}
+
+TEST_F(ScalarVsSimd, OneDInverseWithinPinnedTolerance)
+{
+    for (std::size_t n : kInversePathLengths) {
+        FftPlan plan(n);
+        auto x = randomSignal(n, 8000 + n);
+        auto scalar = x;
+        auto simd = x;
+        {
+            FftKernelModeGuard guard(FftKernelMode::Scalar);
+            plan.inverse(scalar.data());
+        }
+        {
+            FftKernelModeGuard guard(FftKernelMode::Simd);
+            plan.inverse(simd.data());
         }
         Real worst = 0;
         for (std::size_t i = 0; i < n; ++i)
