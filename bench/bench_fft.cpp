@@ -16,6 +16,9 @@
  *  - "row_parallel": fft2 wall time with 1/2/4-worker pools. The scaling
  *    gate (>= 1.3x at 4 workers) only applies when the host has >= 4
  *    hardware threads, so single-CPU runners report without failing.
+ *  - "hop_96": one 96^2 Propagator::forwardInto hop (the fused lane-engine
+ *    convolveInto) per ISA build of the lane kernels, baseline against
+ *    AVX2, run serially; "avx2_ms" is 0 where AVX2 is not available.
  */
 #include <algorithm>
 #include <cstdio>
@@ -24,6 +27,7 @@
 #include "bench_common.hpp"
 #include "fft/fft.hpp"
 #include "fft/kernels.hpp"
+#include "optics/propagator.hpp"
 #include "tensor/field.hpp"
 #include "utils/json.hpp"
 #include "utils/rng.hpp"
@@ -292,6 +296,47 @@ main()
         parallel_rows.push(std::move(row));
     }
     artifact["row_parallel"] = std::move(parallel_rows);
+
+    // ----------------------------------------------------------------
+    // Section 4: one 96^2 hop per lane-kernel ISA build.
+    // ----------------------------------------------------------------
+    {
+        PropagatorConfig config;
+        config.grid = Grid{96, 36e-6};
+        config.distance = 0.05;
+        Propagator hop(config);
+        PropagationWorkspace workspace;
+        const Field input = randomField(96, 17);
+        Field field = input;
+        constexpr int kHops = 64;
+        auto hop_ms = [&](LaneIsa isa) {
+            LaneIsaGuard guard(isa);
+            for (int i = 0; i < kHops; ++i) // warm scratch and caches
+                hop.forwardInto(field, field, workspace);
+            // The unit-modulus kernel keeps the field bounded.
+            return timeMs(15, [&] {
+                for (int i = 0; i < kHops; ++i)
+                    hop.forwardInto(field, field, workspace);
+            }) / kHops;
+        };
+        const bool avx2 = laneIsaSupported(LaneIsa::Avx2);
+        const double base_ms = hop_ms(LaneIsa::Baseline);
+        const double avx2_ms = avx2 ? hop_ms(LaneIsa::Avx2) : 0;
+        const double speedup = avx2_ms > 0 ? base_ms / avx2_ms : 0;
+        std::printf("\n96^2 Propagator::forwardInto hop per lane-kernel "
+                    "build (ms per hop)\n");
+        std::printf("%-10s %12s %12s %9s\n", "", "baseline_ms", "avx2_ms",
+                    "speedup");
+        std::printf("%-10s %12.4f %12.4f %8.2fx\n", "hop", base_ms, avx2_ms,
+                    speedup);
+        Json row;
+        row["size"] = Json(std::size_t(96));
+        row["avx2_supported"] = Json(avx2);
+        row["baseline_ms"] = Json(base_ms);
+        row["avx2_ms"] = Json(avx2_ms);
+        row["speedup"] = Json(speedup);
+        artifact["hop_96"] = std::move(row);
+    }
 
     // ----------------------------------------------------------------
     // Hardware-conditioned gates.

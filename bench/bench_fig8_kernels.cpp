@@ -7,7 +7,8 @@
  * and reports per-kernel speedups of the optimized LightRidge kernels over
  * LightPipes (CPU: 11x / 10x / 4x, 6.4x overall). This binary benchmarks
  * each operator in both engines at the same size and prints the same
- * breakdown; a custom reporter computes the speedup summary at exit.
+ * breakdown; a custom reporter computes the speedup summary at exit and
+ * writes it, with provenance, to bench_results/BENCH_fig8.json.
  */
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include <string>
 
 #include "baseline/lightpipes_like.hpp"
+#include "bench_common.hpp"
 #include "fft/fft.hpp"
 #include "utils/cli.hpp"
 #include "utils/rng.hpp"
@@ -191,6 +193,24 @@ class SpeedupReporter : public benchmark::ConsoleReporter
                     s_mm, lr_total > 0 ? lp_total / lr_total : 0.0);
         std::printf("paper (CPU, 500^2): FFT2 11x, iFFT2 10x, MM 4x, "
                     "overall 6.4x\n");
+
+        Json artifact;
+        artifact["bench"] = Json("fig8_kernels");
+        artifact["size"] = Json(benchSize());
+        bench::stampProvenance(&artifact);
+        Json means;
+        for (const auto &[name, ms] : means_)
+            means[name] = Json(ms);
+        artifact["mean_ms"] = std::move(means);
+        artifact["speedup_fft2"] = Json(s_fft);
+        artifact["speedup_ifft2"] = Json(s_ifft);
+        artifact["speedup_complex_mm"] = Json(s_mm);
+        artifact["speedup_overall"] =
+            Json(lr_total > 0 ? lp_total / lr_total : 0.0);
+        const std::string json_path =
+            bench::resultsDir() + "/BENCH_fig8.json";
+        if (artifact.save(json_path))
+            std::printf("[json] %s\n", json_path.c_str());
     }
 
   private:

@@ -339,6 +339,7 @@ main()
     Json artifact;
     artifact["bench"] = Json("fig9_speedups");
     artifact["scale"] = Json(benchFullScale() ? "full" : "quick");
+    bench::stampProvenance(&artifact);
     artifact["per_sample_sweep"] = std::move(sweep_rows);
     artifact["batched"] = std::move(batched_rows);
     artifact["min_batched_speedup"] = Json(min_speedup);

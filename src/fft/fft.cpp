@@ -2,19 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 
+#include "fft/lanes.hpp"
+#include "optics/perturbation.hpp"
+#include "optics/workspace.hpp"
 #include "utils/sync.hpp"
 #include "utils/thread_pool.hpp"
 
 namespace lightridge {
 
 namespace {
-
-/** Largest prime factor handled by the direct mixed-radix path. */
-constexpr std::size_t kMaxDirectRadix = 31;
 
 /** Factorize n into primes in ascending order (2 repeated, etc.). */
 std::vector<std::size_t>
@@ -132,6 +133,10 @@ struct FftPlan::Impl
     std::vector<std::size_t> simd_factors;
     std::vector<std::vector<Real>> simd_tw_re, simd_tw_im;
     std::vector<std::vector<Real>> simd_dft_re, simd_dft_im;
+    // Pointer view of the SIMD tables for the 2-D lane engine.
+    std::vector<const Real *> lane_tw_re, lane_tw_im, lane_dft_re,
+        lane_dft_im;
+    lanes::LanePlan lane;
 
     // Bluestein state.
     std::size_t m = 0;                      // power-of-two conv length
@@ -213,6 +218,19 @@ FftPlan::Impl::buildSimdTables()
         simd_dft_im.push_back(std::move(dft_im));
         cur = m_cur;
     }
+    for (std::size_t level = 0; level < simd_factors.size(); ++level) {
+        lane_tw_re.push_back(simd_tw_re[level].data());
+        lane_tw_im.push_back(simd_tw_im[level].data());
+        lane_dft_re.push_back(simd_dft_re[level].data());
+        lane_dft_im.push_back(simd_dft_im[level].data());
+    }
+    lane = {n,
+            simd_factors.size(),
+            simd_factors.data(),
+            lane_tw_re.data(),
+            lane_tw_im.data(),
+            lane_dft_re.data(),
+            lane_dft_im.data()};
 }
 
 void
@@ -269,9 +287,9 @@ FftPlan::Impl::combine(Complex *out, std::size_t n_cur, std::size_t p,
 
     // Generic radix: gather p strided values, apply the p-point DFT with
     // twiddles folded in, scatter back to the same positions.
-    Complex a[kMaxDirectRadix];
-    std::size_t cursor[kMaxDirectRadix];
-    std::size_t step[kMaxDirectRadix];
+    Complex a[lanes::kMaxDirectRadix];
+    std::size_t cursor[lanes::kMaxDirectRadix];
+    std::size_t step[lanes::kMaxDirectRadix];
     for (std::size_t j = 1; j < p; ++j)
         step[j] = (j * m_cur) % n_cur;
 
@@ -466,7 +484,7 @@ FftPlan::FftPlan(std::size_t n) : impl_(std::make_unique<Impl>())
     impl_->n = n;
     auto factors = factorize(n);
     bool smooth = factors.empty() ||
-                  factors.back() <= kMaxDirectRadix;
+                  factors.back() <= lanes::kMaxDirectRadix;
     if (smooth)
         impl_->buildMixedRadix();
     else
@@ -536,7 +554,7 @@ planCache()
 }
 
 /**
- * Resolve the pool Fft2d should shard 1-D transforms across, or nullptr
+ * Resolve the pool Fft2d splits lane blocks (or lines) across, or nullptr
  * for serial execution. Serial whenever the pool has no real workers,
  * the caller is itself a pool worker (sample-parallel batches already
  * saturate the pool; nesting would deadlock the queue), or the grid is
@@ -590,71 +608,133 @@ clearFftPlanCache()
     cache.plans.clear();
 }
 
+const lanes::LanePlan *
+FftPlan::lanePlan() const
+{
+    if (impl_->bluestein || impl_->lane.n == 0)
+        return nullptr;
+    return &impl_->lane;
+}
+
+namespace {
+
+/**
+ * Per-thread full-grid scratch of the 2-D engines: one split re/im plane
+ * pair for the lane engine, or one interleaved grid for the per-line
+ * fallback (2 * rows * cols Reals). Grown on demand, then reused.
+ */
+Real *
+gridScratch(std::size_t reals)
+{
+    static thread_local std::vector<Real> buffer;
+    if (buffer.size() < reals)
+        buffer.resize(reals);
+    return buffer.data();
+}
+
+/** Run fn(i) for i < count on the pool, or serially without one. */
+template <typename Fn>
+void
+forEach(ThreadPool *pool, std::size_t count, const Fn &fn)
+{
+    if (pool) {
+        pool->parallelFor(count, fn);
+        return;
+    }
+    for (std::size_t i = 0; i < count; ++i)
+        fn(i);
+}
+
+/** Run fn(lane0, lanes) over the lane blocks of [0, lanes). */
+template <typename Fn>
+void
+forEachLaneBlock(ThreadPool *pool, std::size_t lanes, const Fn &fn)
+{
+    constexpr std::size_t kW = lanes::kLaneBlock;
+    forEach(pool, (lanes + kW - 1) / kW, [&](std::size_t b) {
+        const std::size_t lane0 = b * kW;
+        fn(lane0, std::min(kW, lanes - lane0));
+    });
+}
+
+/** dst (cols x rows) = transpose of src (rows x cols), in square tiles. */
+void
+transposeGrid(const Complex *src, std::size_t rows, std::size_t cols,
+              Complex *dst)
+{
+    constexpr std::size_t kTile = 16;
+    for (std::size_t r0 = 0; r0 < rows; r0 += kTile)
+        for (std::size_t c0 = 0; c0 < cols; c0 += kTile) {
+            const std::size_t r1 = std::min(rows, r0 + kTile);
+            const std::size_t c1 = std::min(cols, c0 + kTile);
+            for (std::size_t c = c0; c < c1; ++c)
+                for (std::size_t r = r0; r < r1; ++r)
+                    dst[c * rows + r] = src[r * cols + c];
+        }
+}
+
+/** Per-line transforms of `count` contiguous lines of one plan. */
+void
+transformLines(const FftPlan &plan, Complex *data, std::size_t count,
+               bool inverse, ThreadPool *pool)
+{
+    const std::size_t n = plan.size();
+    forEach(pool, count, [&](std::size_t line) {
+        if (inverse)
+            plan.inverse(data + line * n);
+        else
+            plan.forward(data + line * n);
+    });
+}
+
+/**
+ * spectrum *= kernel (conj(kernel) when `conjugate`) over a rows x cols
+ * spectrum stored in spectrum order (cols x rows), then the shift ramp of
+ * `hop` when non-null: the per-line fallback's Hadamard step.
+ */
+void
+multiplySpectrum(Complex *spectrum, std::size_t rows, std::size_t cols,
+                 const Field &kernel, bool conjugate,
+                 const HopPerturbation *hop)
+{
+    const std::size_t cells = rows * cols;
+    const Complex *k = kernel.data();
+    if (simdKernelsCompiled() && fftKernelMode() == FftKernelMode::Simd) {
+        Real *s = reinterpret_cast<Real *>(spectrum);
+        const Real *kr = reinterpret_cast<const Real *>(k);
+        if (conjugate)
+            kernels::cmulConjInterleaved(s, kr, cells);
+        else
+            kernels::cmulInterleaved(s, kr, cells);
+    } else if (conjugate) {
+        for (std::size_t i = 0; i < cells; ++i)
+            spectrum[i] *= std::conj(k[i]);
+    } else {
+        for (std::size_t i = 0; i < cells; ++i)
+            spectrum[i] *= k[i];
+    }
+    if (!hop)
+        return;
+    // Spectrum row kr, column kc sits at [kc][kr]: multiply by
+    // ramp_row[kr] * ramp_col[kc], both conjugated on the adjoint.
+    for (std::size_t kc = 0; kc < cols; ++kc) {
+        const Complex col = conjugate ? std::conj(hop->ramp_col[kc])
+                                      : hop->ramp_col[kc];
+        Complex *line = spectrum + kc * rows;
+        for (std::size_t kr = 0; kr < rows; ++kr) {
+            const Complex row = conjugate ? std::conj(hop->ramp_row[kr])
+                                          : hop->ramp_row[kr];
+            line[kr] *= row * col;
+        }
+    }
+}
+
+} // namespace
+
 Fft2d::Fft2d(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), row_plan_(acquireFftPlan(cols)),
       col_plan_(rows == cols ? row_plan_ : acquireFftPlan(rows))
 {}
-
-void
-Fft2d::transformRows(Field *field, bool inverse, ThreadPool *pool) const
-{
-    Complex *data = field->data();
-    auto one_row = [&](std::size_t r) {
-        if (inverse)
-            row_plan_->inverse(data + r * cols_);
-        else
-            row_plan_->forward(data + r * cols_);
-    };
-    if (ThreadPool *p = fft2dPool(pool, rows_ * cols_)) {
-        p->parallelFor(rows_, one_row);
-        return;
-    }
-    for (std::size_t r = 0; r < rows_; ++r)
-        one_row(r);
-}
-
-void
-Fft2d::transformColumns(Field *field, bool inverse, ThreadPool *pool) const
-{
-    // Columns are transformed in tiles of adjacent columns: the gather
-    // then reads kColumnTile consecutive samples per row (full cache
-    // lines) instead of one strided sample per pass, which is what makes
-    // the column half of fft2 memory-friendly on large grids. Each tile
-    // is staged column-contiguous so the 1-D plans run on unit stride.
-    constexpr std::size_t kColumnTile = 8;
-    Complex *data = field->data();
-    const std::size_t tiles = (cols_ + kColumnTile - 1) / kColumnTile;
-    auto one_tile = [&](std::size_t t) {
-        // Per-thread staging buffer, reused across a worker's tiles.
-        static thread_local std::vector<Complex> stage;
-        if (stage.size() < rows_ * kColumnTile)
-            stage.resize(rows_ * kColumnTile);
-        const std::size_t c0 = t * kColumnTile;
-        const std::size_t width = std::min(kColumnTile, cols_ - c0);
-        for (std::size_t r = 0; r < rows_; ++r) {
-            const Complex *src = data + r * cols_ + c0;
-            for (std::size_t j = 0; j < width; ++j)
-                stage[j * rows_ + r] = src[j];
-        }
-        for (std::size_t j = 0; j < width; ++j) {
-            if (inverse)
-                col_plan_->inverse(stage.data() + j * rows_);
-            else
-                col_plan_->forward(stage.data() + j * rows_);
-        }
-        for (std::size_t r = 0; r < rows_; ++r) {
-            Complex *dst = data + r * cols_ + c0;
-            for (std::size_t j = 0; j < width; ++j)
-                dst[j] = stage[j * rows_ + r];
-        }
-    };
-    if (ThreadPool *p = fft2dPool(pool, rows_ * cols_)) {
-        p->parallelFor(tiles, one_tile);
-        return;
-    }
-    for (std::size_t t = 0; t < tiles; ++t)
-        one_tile(t);
-}
 
 void
 Fft2d::checkShape(const Field &field) const
@@ -667,20 +747,162 @@ Fft2d::checkShape(const Field &field) const
         std::to_string(rows_) + "x" + std::to_string(cols_));
 }
 
+bool
+Fft2d::usesLaneEngine() const
+{
+    return simdKernelsCompiled() && fftKernelMode() == FftKernelMode::Simd &&
+           row_plan_->lanePlan() && col_plan_->lanePlan();
+}
+
+void
+Fft2d::transform(Field *field, bool inverse, ThreadPool *pool) const
+{
+    checkShape(*field);
+    pool = fft2dPool(pool, rows_ * cols_);
+    const std::size_t cells = rows_ * cols_;
+    if (usesLaneEngine()) {
+        // Columns (length rows) stored transposed into planes, then the
+        // former rows (length cols) stored transposed back, interleaved.
+        // The inverse runs the forward on re/im-exchanged data.
+        const lanes::LaneKernels &k = lanes::laneKernels();
+        Real *s_re = gridScratch(2 * cells), *s_im = s_re + cells;
+        Real *data = reinterpret_cast<Real *>(field->data());
+        const lanes::LanePlan &col = *col_plan_->lanePlan();
+        const lanes::LanePlan &row = *row_plan_->lanePlan();
+        forEachLaneBlock(pool, cols_, [&](std::size_t lane0,
+                                          std::size_t lanes) {
+            k.columnsToPlanesT(col, data, 2 * cols_, rows_, inverse, lane0,
+                               lanes, s_re, s_im, rows_);
+        });
+        const Real scale =
+            inverse ? Real(1) / static_cast<Real>(cells) : Real(1);
+        forEachLaneBlock(pool, rows_, [&](std::size_t lane0,
+                                          std::size_t lanes) {
+            k.planesToInterleavedT(row, s_re, s_im, rows_, lane0, lanes,
+                                   data, cols_, scale, inverse);
+        });
+        return;
+    }
+    // Per-line fallback: rows, then transpose -> rows -> transpose.
+    Complex *t = reinterpret_cast<Complex *>(gridScratch(2 * cells));
+    transformLines(*row_plan_, field->data(), rows_, inverse, pool);
+    transposeGrid(field->data(), rows_, cols_, t);
+    transformLines(*col_plan_, t, cols_, inverse, pool);
+    transposeGrid(t, cols_, rows_, field->data());
+}
+
 void
 Fft2d::forward(Field *field, ThreadPool *pool) const
 {
-    checkShape(*field);
-    transformRows(field, false, pool);
-    transformColumns(field, false, pool);
+    transform(field, false, pool);
 }
 
 void
 Fft2d::inverse(Field *field, ThreadPool *pool) const
 {
-    checkShape(*field);
-    transformRows(field, true, pool);
-    transformColumns(field, true, pool);
+    transform(field, true, pool);
+}
+
+void
+Fft2d::convolveInto(const Field &in, Field &out, const Field &kernel,
+                    bool conjugate, const HopPerturbation *hop,
+                    PropagationWorkspace &workspace, ThreadPool *pool) const
+{
+    const std::size_t n_rows = in.rows(), n_cols = in.cols();
+    if (n_rows > rows_ || n_cols > cols_)
+        throw std::invalid_argument(
+            "Fft2d::convolveInto: field is " + std::to_string(n_rows) +
+            "x" + std::to_string(n_cols) + " but the plan is " +
+            std::to_string(rows_) + "x" + std::to_string(cols_));
+    const Field &kern = (hop && hop->kernel) ? *hop->kernel : kernel;
+    if (kern.rows() != cols_ || kern.cols() != rows_)
+        throw std::invalid_argument(
+            "Fft2d::convolveInto: kernel is not in spectrum order");
+    const bool shift = hop && hop->has_shift;
+    const bool padded = n_rows != rows_ || n_cols != cols_;
+    ensureFieldShape(out, n_rows, n_cols);
+    pool = fft2dPool(pool, rows_ * cols_);
+    const std::size_t cells = rows_ * cols_;
+    const Real scale = Real(1) / static_cast<Real>(cells);
+    // The hop's own buffers: `out` holds the full-size grid between the
+    // two halves (a padded hop leases it from the workspace instead); the
+    // transposed spectrum lives in this thread's grid scratch.
+    std::optional<WorkspaceField> padded_grid;
+    if (padded)
+        padded_grid.emplace(workspace, rows_, cols_);
+    Complex *grid = padded ? (*padded_grid)->data() : out.data();
+    Real *scratch = gridScratch(2 * cells);
+
+    if (usesLaneEngine()) {
+        // Columns of the zero-extended input -> S (cols x rows planes);
+        // per lane block of S: forward along the former rows, kernel
+        // product, inverse -> grid (interleaved, the n_cols kept columns);
+        // the inverse along the columns -> out. Everything after the
+        // forward runs on re/im-exchanged data, swapped back by the last
+        // store.
+        const lanes::LaneKernels &k = lanes::laneKernels();
+        Real *s_re = scratch, *s_im = scratch + cells;
+        const lanes::LanePlan &col = *col_plan_->lanePlan();
+        const lanes::LanePlan &row = *row_plan_->lanePlan();
+        forEachLaneBlock(pool, n_cols, [&](std::size_t lane0,
+                                           std::size_t lanes) {
+            k.columnsToPlanesT(col, reinterpret_cast<const Real *>(in.data()),
+                               2 * n_cols, n_rows, false, lane0, lanes, s_re,
+                               s_im, rows_);
+        });
+        std::fill(s_re + n_cols * rows_, s_re + cells, Real(0));
+        std::fill(s_im + n_cols * rows_, s_im + cells, Real(0));
+        lanes::LaneRamp ramp;
+        if (shift)
+            ramp = {reinterpret_cast<const Real *>(hop->ramp_row.data()),
+                    reinterpret_cast<const Real *>(hop->ramp_col.data())};
+        const Real *kernel_data = reinterpret_cast<const Real *>(kern.data());
+        Real *g = reinterpret_cast<Real *>(grid);
+        forEachLaneBlock(pool, rows_, [&](std::size_t lane0,
+                                          std::size_t lanes) {
+            k.hopMiddle(row, s_re, s_im, rows_, lane0, lanes, kernel_data,
+                        rows_, conjugate, shift ? &ramp : nullptr, g, cols_,
+                        n_cols);
+        });
+        Real *dst = reinterpret_cast<Real *>(out.data());
+        forEachLaneBlock(pool, n_cols, [&](std::size_t lane0,
+                                           std::size_t lanes) {
+            k.hopLast(col, g, cols_, lane0, lanes, dst, n_cols, n_rows,
+                      scale);
+        });
+        return;
+    }
+
+    // Per-line fallback on interleaved grids: the zero-extended input in
+    // `grid` (rows x cols), its transposed spectrum in t (cols x rows).
+    Complex *t = reinterpret_cast<Complex *>(scratch);
+    if (padded) {
+        std::fill(grid, grid + cells, Complex{0, 0});
+        for (std::size_t r = 0; r < n_rows; ++r)
+            std::copy(in.data() + r * n_cols, in.data() + (r + 1) * n_cols,
+                      grid + r * cols_);
+    } else if (&out != &in) {
+        std::copy(in.data(), in.data() + cells, grid);
+    }
+    transformLines(*row_plan_, grid, rows_, false, pool);
+    transposeGrid(grid, rows_, cols_, t);
+    transformLines(*col_plan_, t, cols_, false, pool);
+    multiplySpectrum(t, rows_, cols_, kern, conjugate, shift ? hop : nullptr);
+    transformLines(*col_plan_, t, cols_, true, pool);
+    transposeGrid(t, cols_, rows_, grid);
+    transformLines(*row_plan_, grid, rows_, true, pool);
+    if (padded)
+        for (std::size_t r = 0; r < n_rows; ++r)
+            std::copy(grid + r * cols_, grid + r * cols_ + n_cols,
+                      out.data() + r * n_cols);
+}
+
+void
+transposeSpectrum(const Field &natural, Field &spectrum)
+{
+    ensureFieldShape(spectrum, natural.cols(), natural.rows());
+    transposeGrid(natural.data(), natural.rows(), natural.cols(),
+                  spectrum.data());
 }
 
 namespace {

@@ -30,11 +30,29 @@
  *    swap exchanging real and imaginary parts, folded into the leaf
  *    loads and the final interleave, so it costs what the forward costs.
  *    Scalar mode and Bluestein lengths conjugate around the forward.
- *  - Fft2d shards the independent 1-D row and column transforms of one
- *    large grid across the process thread pool (row-parallel FFT2). The
- *    split is deterministic: results are bitwise-identical to the serial
- *    path regardless of worker count, and execution degrades gracefully
- *    to serial on single-thread hosts, inside pool workers (no nested
+ *  - Fft2d runs a lane engine (fft/lanes.hpp) for grids whose two
+ *    lengths are smooth, in Simd mode. A 2-D transform is 2n 1-D
+ *    transforms of one length sharing their twiddles, so every leaf
+ *    codelet, radix-3/4 butterfly and generic combine runs as one
+ *    unit-stride loop across W adjacent columns of a split re/im grid,
+ *    twiddles broadcast: a column pass needs no gather and no staging.
+ *    Each lane block ends in a cache-blocked SoA transpose, which is how
+ *    the row transforms become column passes too. The forward spectrum
+ *    is left transposed (spectrum order: row kc, column kr), which is the
+ *    order the propagator caches its transfer functions in, so a fused
+ *    hop (convolveInto) makes two transposes and no more.
+ *  - The lane kernels are compiled twice from one source, a baseline and
+ *    an AVX2 build (no FMA; src/fft builds with -ffp-contract=off), one
+ *    picked at startup. Both agree bitwise, as do all lane-block splits
+ *    across the thread pool: a lane's arithmetic never depends on its
+ *    neighbours, its vector width or its worker.
+ *  - Scalar mode, and any grid with a Bluestein length, take the
+ *    per-line fallback: 1-D plans over the rows, a transpose, the rows
+ *    again, and a transpose back.
+ *  - Large grids (>= kFft2dParallelMinElements) split lane blocks (or
+ *    lines) across the process thread pool; results are bitwise equal to
+ *    the serial path for any worker count, and execution stays serial
+ *    on single-thread hosts, inside pool workers (no nested
  *    parallelism), and for small grids.
  *
  * The "LightPipes-like" baseline in src/baseline deliberately omits the
@@ -53,7 +71,13 @@
 
 namespace lightridge {
 
+class PropagationWorkspace;
 class ThreadPool;
+struct HopPerturbation;
+
+namespace lanes {
+struct LanePlan;
+}
 
 /**
  * Immutable 1-D FFT plan for a fixed transform length.
@@ -84,21 +108,30 @@ class FftPlan
     void inverse(Complex *data) const;
 
   private:
+    friend class Fft2d;
+
+    /** The SIMD tables as a lane-engine view; null for Bluestein plans
+     *  and builds without the SIMD kernels. */
+    const lanes::LanePlan *lanePlan() const;
+
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
 
 /**
- * 2-D FFT over a Field: rows then columns, both via shared 1-D plans.
- * Thread-safe; scratch space is thread-local.
+ * 2-D FFT over a Field. Thread-safe; scratch space is thread-local.
  *
- * Large grids are row/column-parallel: the independent 1-D transforms are
- * sharded across a thread pool. Passing pool = nullptr uses the global
- * pool. The parallel split never changes numerics (each 1-D transform is
- * computed identically on whichever thread runs it), and the engine runs
- * serially when the pool has <= 1 worker, when already executing inside a
- * pool worker (the batched sample-parallel path), or when the grid is
- * below the parallel threshold.
+ * Smooth grids in Simd mode run the lane engine (see the file comment);
+ * Scalar mode and grids with a Bluestein length run the per-line
+ * fallback. forward()/inverse() work in natural order. convolveInto()
+ * runs a whole free-space hop and keeps the spectrum in spectrum order
+ * (transposed) between its forward and inverse halves, so its kernel is
+ * stored that way too (transposeSpectrum()).
+ *
+ * Passing pool = nullptr uses the global pool. The parallel split never
+ * changes numerics, and the engine runs serially when the pool has <= 1
+ * worker, inside a pool worker (the batched sample-parallel path), or
+ * below kFft2dParallelMinElements.
  */
 class Fft2d
 {
@@ -119,10 +152,28 @@ class Fft2d
      *  check as forward(). */
     void inverse(Field *field, ThreadPool *pool = nullptr) const;
 
+    /**
+     * One fused hop: out = iFFT2(FFT2(in) .* K), with `in` zero-extended
+     * to the plan's shape and the result cropped back to in's shape
+     * (`out` is resized to it and may alias `in`). `kernel` is K in
+     * spectrum order, cols x rows (transposeSpectrum() of the natural
+     * rows x cols spectrum); `conjugate` multiplies by conj(K) instead.
+     * A non-null `hop` replaces the kernel by hop->kernel when set and,
+     * with has_shift, multiplies the spectrum by its separable shift ramp
+     * (conjugated with the kernel). Between the two halves the grid is
+     * kept in `out` (a zero-padded hop leases it from `workspace`) and
+     * the spectrum in per-thread scratch, so steady state allocates
+     * nothing.
+     */
+    void convolveInto(const Field &in, Field &out, const Field &kernel,
+                      bool conjugate, const HopPerturbation *hop,
+                      PropagationWorkspace &workspace,
+                      ThreadPool *pool = nullptr) const;
+
   private:
     void checkShape(const Field &field) const;
-    void transformRows(Field *field, bool inverse, ThreadPool *pool) const;
-    void transformColumns(Field *field, bool inverse, ThreadPool *pool) const;
+    bool usesLaneEngine() const;
+    void transform(Field *field, bool inverse, ThreadPool *pool) const;
 
     std::size_t rows_;
     std::size_t cols_;
@@ -131,8 +182,15 @@ class Fft2d
 };
 
 /**
- * Grid-element threshold below which Fft2d stays serial: sharding 1-D
- * transforms only pays off once a transform batch outweighs the pool's
+ * Store a natural-order rows x cols spectrum in spectrum order
+ * (cols x rows, the transpose), the layout Fft2d::convolveInto reads
+ * its kernel in. `spectrum` is resized as needed.
+ */
+void transposeSpectrum(const Field &natural, Field &spectrum);
+
+/**
+ * Grid-element threshold below which Fft2d stays serial: sharding lane
+ * blocks (or lines) only pays off once a pass outweighs the pool's
  * wake/join cost (empirically around a 128x128 grid).
  */
 inline constexpr std::size_t kFft2dParallelMinElements = 128 * 128;

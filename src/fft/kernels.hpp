@@ -84,6 +84,48 @@ class FftKernelModeGuard
 };
 
 /**
+ * Which ISA build of the 2-D FFT lane kernels (fft/lanes.hpp) runs. Both
+ * builds compile from one source without FMA and under
+ * -ffp-contract=off, so they agree bitwise; the choice only changes
+ * speed. The process starts on the widest build the CPU supports.
+ */
+enum class LaneIsa
+{
+    Baseline, ///< the target's baseline vector ISA (SSE2 on x86-64)
+    Avx2,     ///< 256-bit AVX2 build (x86-64 with LIGHTRIDGE_SIMD only)
+};
+
+/** True when the build and the CPU can run `isa`. */
+bool laneIsaSupported(LaneIsa isa);
+
+/** The lane-kernel build currently in effect (process-wide). */
+LaneIsa laneIsa();
+
+/**
+ * Select the lane-kernel build; an unsupported request falls back to
+ * Baseline. Returns the build in effect. For tests and benches that
+ * compare the two builds.
+ */
+LaneIsa setLaneIsa(LaneIsa isa);
+
+/** RAII guard: select a lane-kernel build for one scope. */
+class LaneIsaGuard
+{
+  public:
+    explicit LaneIsaGuard(LaneIsa isa) : previous_(laneIsa())
+    {
+        setLaneIsa(isa);
+    }
+    ~LaneIsaGuard() { setLaneIsa(previous_); }
+
+    LaneIsaGuard(const LaneIsaGuard &) = delete;
+    LaneIsaGuard &operator=(const LaneIsaGuard &) = delete;
+
+  private:
+    LaneIsa previous_;
+};
+
+/**
  * The vectorizable kernels themselves. All pointers must be non-aliasing
  * unless a parameter is documented as in/out; SoA variants take split
  * real/imag arrays, interleaved variants take (re, im) pairs as laid out

@@ -127,8 +127,11 @@ acquireTransferFunction(Diffraction approx, PropagationMethod method,
     // Compute outside the lock (O(n^2) transcendentals, possibly an FFT2);
     // concurrent first-touch of the same key wastes one computation but
     // stays correct because the result is deterministic.
-    auto kernel = std::make_shared<const Field>(
-        transferFunction(approx, method, grid, wavelength, z));
+    // Stored in spectrum order, the layout Fft2d::convolveInto reads.
+    auto spectrum = std::make_shared<Field>();
+    transposeSpectrum(transferFunction(approx, method, grid, wavelength, z),
+                      *spectrum);
+    std::shared_ptr<const Field> kernel = std::move(spectrum);
     MutexLock lock(cache.mutex);
     auto it = cache.kernels.find(key);
     if (it != cache.kernels.end()) {
@@ -251,88 +254,17 @@ Propagator::outputPitch() const
 }
 
 void
-Propagator::applyShiftRamp(Complex *spectrum, const HopPerturbation &hop,
-                           bool conjugate) const
-{
-    // Separable Fourier-shift phasor: spectrum[r][c] *= row[r] * col[c]
-    // (conjugated in the adjoint so the perturbed operator stays exact).
-    const std::size_t p = padded_n_;
-    for (std::size_t r = 0; r < p; ++r) {
-        const Complex row =
-            conjugate ? std::conj(hop.ramp_row[r]) : hop.ramp_row[r];
-        Complex *line = spectrum + r * p;
-        if (conjugate) {
-            for (std::size_t c = 0; c < p; ++c)
-                line[c] *= row * std::conj(hop.ramp_col[c]);
-        } else {
-            for (std::size_t c = 0; c < p; ++c)
-                line[c] *= row * hop.ramp_col[c];
-        }
-    }
-}
-
-void
-Propagator::convolveInto(const Field &in, Field &out, bool conjugate_kernel,
+Propagator::convolveInto(const Field &in, Field &out,
+                         bool conjugate_kernel,
                          PropagationWorkspace &workspace,
                          const HopPerturbation *hop) const
 {
     const std::size_t n = config_.grid.n;
     if (in.rows() != n || in.cols() != n)
         throw std::invalid_argument("Propagator: field shape mismatch");
-
-    const Field &kern =
-        (hop && hop->kernel) ? *hop->kernel : *kernel_;
-    const bool shift = hop && hop->has_shift;
-
-    if (padded_n_ == n) {
-        // Same-size spectral algorithm: transform directly in the output
-        // buffer (after a copy when the caller passed distinct buffers).
-        if (&out != &in) {
-            ensureFieldShape(out, n, n);
-            std::copy(in.data(), in.data() + in.size(), out.data());
-        }
-        fft_->forward(&out);
-        if (conjugate_kernel)
-            out.hadamardConj(kern);
-        else
-            out.hadamard(kern);
-        if (shift)
-            applyShiftRamp(out.data(), *hop, conjugate_kernel);
-        fft_->inverse(&out);
-        return;
-    }
-
-    // Padded path: lease the padded scratch from the workspace. The pad
-    // region is rewritten to zero every call (the previous iFFT left
-    // nonzero spill there), which matches the zero-initialized fresh
-    // buffer of the allocating path bit for bit.
-    WorkspaceField work(workspace, padded_n_, padded_n_);
-    Complex *w = work->data();
-    const Complex *src = in.data();
-    for (std::size_t r = 0; r < n; ++r) {
-        std::copy(src + r * n, src + (r + 1) * n, w + r * padded_n_);
-        std::fill(w + r * padded_n_ + n, w + (r + 1) * padded_n_,
-                  Complex{0, 0});
-    }
-    std::fill(w + n * padded_n_, w + padded_n_ * padded_n_, Complex{0, 0});
-
-    // FFT2 -> transfer-function Hadamard -> iFFT2, all through the kernel
-    // dispatch layer: the 2-D transforms shard rows/columns across the
-    // thread pool for large grids, and the element-wise kernel multiply
-    // runs the vectorized interleaved complex product in Simd mode.
-    fft_->forward(&work.get());
-    if (conjugate_kernel)
-        work->hadamardConj(kern);
-    else
-        work->hadamard(kern);
-    if (shift)
-        applyShiftRamp(work->data(), *hop, conjugate_kernel);
-    fft_->inverse(&work.get());
-
-    ensureFieldShape(out, n, n);
-    for (std::size_t r = 0; r < n; ++r)
-        std::copy(w + r * padded_n_, w + r * padded_n_ + n,
-                  out.data() + r * n);
+    // Pad, FFT2, kernel (and shift-ramp) product, iFFT2 and crop in one
+    // pass over the padded plan; the kernel is cached in spectrum order.
+    fft_->convolveInto(in, out, *kernel_, conjugate_kernel, hop, workspace);
 }
 
 void

@@ -70,10 +70,11 @@ class Propagator
 
     /**
      * Propagate `in` over the hop into `out`, running the full
-     * pad -> FFT2 -> Hadamard -> iFFT2 -> crop pipeline with zero heap
-     * allocations in steady state: padded scratch is leased from the
-     * workspace and `out` is resized at most once. `out` may alias `in`
-     * (the layer pipeline propagates fields fully in place).
+     * pad -> FFT2 -> Hadamard -> iFFT2 -> crop pipeline as one
+     * Fft2d::convolveInto with zero heap allocations in steady state:
+     * a padded hop leases its padded grid from the workspace, and `out`
+     * is resized at most once. `out` may alias `in` (the layer
+     * pipeline propagates fields fully in place).
      *
      * `hop` optionally applies one sampled misalignment realization
      * (see optics/perturbation.hpp): a non-null perturbed kernel
@@ -98,7 +99,12 @@ class Propagator
     /** Sample pitch of the output plane (differs for Fraunhofer). */
     Real outputPitch() const;
 
-    /** The cached frequency-domain kernel (empty for Fraunhofer). */
+    /**
+     * The cached frequency-domain kernel (empty for Fraunhofer), in
+     * spectrum order: element [kc][kr] is the transfer function at
+     * spectrum row kr, column kc, i.e. the transpose of the natural-order
+     * transferFunction() (see transposeSpectrum()).
+     */
     const Field &kernel() const;
 
     /** Working (padded) transform size; shift ramps and perturbed
@@ -109,8 +115,6 @@ class Propagator
     void convolveInto(const Field &in, Field &out, bool conjugate_kernel,
                       PropagationWorkspace &workspace,
                       const HopPerturbation *hop) const;
-    void applyShiftRamp(Complex *spectrum, const HopPerturbation &hop,
-                        bool conjugate) const;
     void fraunhoferForwardInto(const Field &in, Field &out) const;
     void fraunhoferAdjointInto(const Field &grad_out, Field &out) const;
 
@@ -122,14 +126,15 @@ class Propagator
 };
 
 /**
- * Process-wide transfer-function cache.
+ * Process-wide transfer-function cache, holding each kernel in spectrum
+ * order (the transpose of transferFunction(), built once per entry).
  *
  * Computing the angular-spectrum / Fresnel kernel is O(n^2) transcendental
  * work (plus a full FFT2 for impulse-response kernels); every Propagator
  * constructed for the same (approx, method, grid, wavelength, distance)
  * tuple shares one immutable kernel Field through this cache. Lookup is
  * keyed on the exact bit patterns of the physical parameters, so a hit is
- * bitwise-identical to recomputing the kernel from scratch.
+ * bitwise-identical to recomputing (and transposing) the kernel.
  */
 std::shared_ptr<const Field>
 acquireTransferFunction(Diffraction approx, PropagationMethod method,

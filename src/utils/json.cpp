@@ -1,6 +1,7 @@
 #include "utils/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -148,20 +149,58 @@ class Parser
     Json
     parseNumber()
     {
-        std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
+        // The token is the maximal run of number characters; it must be
+        // exactly one RFC 8259 number:
+        // -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+        const std::size_t start = pos_;
         while (pos_ < text_.size() &&
                (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
                 text_[pos_] == '.' || text_[pos_] == 'e' ||
                 text_[pos_] == 'E' || text_[pos_] == '+' ||
                 text_[pos_] == '-'))
             ++pos_;
-        try {
-            return Json(std::stod(text_.substr(start, pos_ - start)));
-        } catch (const std::exception &) {
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        if (!isJsonNumber(first, last))
             fail("bad number");
+        double value = 0;
+        const auto [end, ec] = std::from_chars(first, last, value);
+        if (ec != std::errc() || end != last)
+            fail("bad number");
+        return Json(value);
+    }
+
+    /** True when [p, end) is exactly one RFC 8259 number. */
+    static bool
+    isJsonNumber(const char *p, const char *end)
+    {
+        auto digit = [&] { return p < end && *p >= '0' && *p <= '9'; };
+        auto digits = [&] {
+            if (!digit())
+                return false;
+            while (digit())
+                ++p;
+            return true;
+        };
+        if (p < end && *p == '-')
+            ++p;
+        if (p < end && *p == '0')
+            ++p;
+        else if (!digits())
+            return false;
+        if (p < end && *p == '.') {
+            ++p;
+            if (!digits())
+                return false;
         }
+        if (p < end && (*p == 'e' || *p == 'E')) {
+            ++p;
+            if (p < end && (*p == '+' || *p == '-'))
+                ++p;
+            if (!digits())
+                return false;
+        }
+        return p == end;
     }
 
     Json

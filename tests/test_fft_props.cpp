@@ -21,6 +21,8 @@
 
 #include "fft/fft.hpp"
 #include "fft/kernels.hpp"
+#include "fft/lanes.hpp"
+#include "optics/perturbation.hpp"
 #include "optics/propagator.hpp"
 #include "oracle/dft_oracle.hpp"
 #include "utils/rng.hpp"
@@ -418,32 +420,132 @@ TEST_F(ScalarVsSimd, Propagator96IntoPathsWithinPinnedTolerance)
     }
 }
 
-/** Row-parallel FFT2 must be bitwise-identical to the serial split. */
+Field
+randomGrid(std::size_t rows, std::size_t cols, uint64_t seed)
+{
+    Rng rng(seed);
+    Field f(rows, cols);
+    for (std::size_t i = 0; i < f.size(); ++i)
+        f[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    return f;
+}
+
+/** Unit-modulus natural-order kernel (what a transfer function is). */
+Field
+randomPhasors(std::size_t rows, std::size_t cols, uint64_t seed)
+{
+    Rng rng(seed);
+    Field f(rows, cols);
+    for (std::size_t i = 0; i < f.size(); ++i)
+        f[i] = std::polar(Real(1), rng.uniform(0, kTwoPi));
+    return f;
+}
+
+bool
+bitwiseSame(const Field &a, const Field &b)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i].real() != b[i].real() || a[i].imag() != b[i].imag())
+            return false;
+    return true;
+}
+
+/** A shift realization with random unit phasors at the plan's size. */
+HopPerturbation
+randomShift(std::size_t rows, std::size_t cols, uint64_t seed)
+{
+    Rng rng(seed);
+    HopPerturbation hop;
+    hop.has_shift = true;
+    for (std::size_t i = 0; i < rows; ++i)
+        hop.ramp_row.push_back(std::polar(Real(1), rng.uniform(0, kTwoPi)));
+    for (std::size_t i = 0; i < cols; ++i)
+        hop.ramp_col.push_back(std::polar(Real(1), rng.uniform(0, kTwoPi)));
+    return hop;
+}
+
+/**
+ * The hop convolveInto fuses, run step by step in natural order:
+ * forward, kernel (and ramp) product, inverse, on the zero-extended
+ * input, cropped back to its shape.
+ */
+Field
+naturalOrderHop(const Fft2d &fft, const Field &in, const Field &kernel,
+                bool conjugate, const HopPerturbation *hop)
+{
+    Field work(fft.rows(), fft.cols());
+    for (std::size_t r = 0; r < in.rows(); ++r)
+        for (std::size_t c = 0; c < in.cols(); ++c)
+            work(r, c) = in(r, c);
+    fft.forward(&work);
+    if (conjugate)
+        work.hadamardConj(kernel);
+    else
+        work.hadamard(kernel);
+    if (hop && hop->has_shift)
+        for (std::size_t r = 0; r < work.rows(); ++r)
+            for (std::size_t c = 0; c < work.cols(); ++c) {
+                Complex g = hop->ramp_row[r] * hop->ramp_col[c];
+                work(r, c) *= conjugate ? std::conj(g) : g;
+            }
+    fft.inverse(&work);
+    Field out(in.rows(), in.cols());
+    for (std::size_t r = 0; r < in.rows(); ++r)
+        for (std::size_t c = 0; c < in.cols(); ++c)
+            out(r, c) = work(r, c);
+    return out;
+}
+
+/**
+ * Row-parallel FFT2 must be bitwise-identical to the serial split: the
+ * natural-order transforms and the fused hop, same-size and zero-padded,
+ * with a conjugate kernel and a shift ramp.
+ */
 TEST(Fft2dRowParallel, BitwiseIdenticalToSerialAcrossPools)
 {
     const std::size_t n = 128; // >= kFft2dParallelMinElements when squared
     ASSERT_GE(n * n, kFft2dParallelMinElements);
     Fft2d fft(n, n);
-    Rng rng(7);
-    Field base(n, n);
-    for (std::size_t i = 0; i < base.size(); ++i)
-        base[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    Field base = randomGrid(n, n, 7);
+    Field spectrum_kernel;
+    transposeSpectrum(randomPhasors(n, n, 8), spectrum_kernel);
+    const HopPerturbation shift = randomShift(n, n, 9);
+    const Field padded_in = randomGrid(100, 100, 10);
+    PropagationWorkspace workspace;
 
     ThreadPool serial(1); // coerced to inline execution
     Field reference = base;
     fft.forward(&reference, &serial);
+    Field hop_reference, hop_conj_reference, hop_padded_reference;
+    fft.convolveInto(base, hop_reference, spectrum_kernel, false, nullptr,
+                     workspace, &serial);
+    fft.convolveInto(base, hop_conj_reference, spectrum_kernel, true,
+                     &shift, workspace, &serial);
+    fft.convolveInto(padded_in, hop_padded_reference, spectrum_kernel,
+                     false, &shift, workspace, &serial);
 
     for (std::size_t workers : {std::size_t(2), std::size_t(4)}) {
         ThreadPool pool(workers);
         Field parallel = base;
         fft.forward(&parallel, &pool);
-        ASSERT_EQ(parallel.size(), reference.size());
-        for (std::size_t i = 0; i < parallel.size(); ++i) {
-            ASSERT_EQ(parallel[i].real(), reference[i].real())
-                << "workers=" << workers << " i=" << i;
-            ASSERT_EQ(parallel[i].imag(), reference[i].imag())
-                << "workers=" << workers << " i=" << i;
-        }
+        EXPECT_TRUE(bitwiseSame(parallel, reference))
+            << "forward, workers=" << workers;
+
+        Field hop, hop_conj, hop_padded;
+        fft.convolveInto(base, hop, spectrum_kernel, false, nullptr,
+                         workspace, &pool);
+        fft.convolveInto(base, hop_conj, spectrum_kernel, true, &shift,
+                         workspace, &pool);
+        fft.convolveInto(padded_in, hop_padded, spectrum_kernel, false,
+                         &shift, workspace, &pool);
+        EXPECT_TRUE(bitwiseSame(hop, hop_reference))
+            << "convolveInto, workers=" << workers;
+        EXPECT_TRUE(bitwiseSame(hop_conj, hop_conj_reference))
+            << "conjugate convolveInto with ramp, workers=" << workers;
+        EXPECT_TRUE(bitwiseSame(hop_padded, hop_padded_reference))
+            << "padded convolveInto, workers=" << workers;
     }
 
     // Round trip through the parallel path recovers the input.
@@ -452,6 +554,217 @@ TEST(Fft2dRowParallel, BitwiseIdenticalToSerialAcrossPools)
     fft.forward(&round, &pool);
     fft.inverse(&round, &pool);
     EXPECT_LT(maxAbsDiff(round, base), 1e-10);
+}
+
+/**
+ * Grids covering every 2-D engine shape: square smooth lengths through
+ * the leaf 8/4 and radix-3/4 plans (96, 64, 32), a generic-radix length
+ * (500 = 5^3 * 4), column counts below and off a multiple of the lane
+ * block (24 x 36, 10 x 14), and a Bluestein dimension (12 x 37), which
+ * takes the per-line fallback.
+ */
+struct GridShape
+{
+    std::size_t rows, cols;
+};
+const std::vector<GridShape> kLaneShapes{{96, 96}, {64, 64}, {32, 32},
+                                         {500, 500}, {24, 36}, {10, 14},
+                                         {12, 37}};
+
+/**
+ * The 2-D DFT as direct 1-D DFTs along the rows, then the columns, with
+ * the exp(sign * j*2*pi*t/n) factors tabulated once per length: the same
+ * sum as oracle::dft2d, at O(n^3), for grids too large for the O(n^4)
+ * oracle (500^2).
+ */
+Field
+separableDft2d(const Field &input, int sign)
+{
+    auto line = [sign](std::vector<Complex> &x) {
+        const std::size_t n = x.size();
+        std::vector<Complex> table(n), y(n, Complex{0, 0});
+        for (std::size_t t = 0; t < n; ++t)
+            table[t] = std::polar(Real(1), sign * kTwoPi *
+                                               static_cast<Real>(t) /
+                                               static_cast<Real>(n));
+        for (std::size_t k = 0; k < n; ++k)
+            for (std::size_t t = 0; t < n; ++t)
+                y[k] += x[t] * table[(k * t) % n];
+        x = std::move(y);
+    };
+    Field out = input;
+    std::vector<Complex> buf(out.cols());
+    for (std::size_t r = 0; r < out.rows(); ++r) {
+        for (std::size_t c = 0; c < out.cols(); ++c)
+            buf[c] = out(r, c);
+        line(buf);
+        for (std::size_t c = 0; c < out.cols(); ++c)
+            out(r, c) = buf[c];
+    }
+    buf.resize(out.rows());
+    for (std::size_t c = 0; c < out.cols(); ++c) {
+        for (std::size_t r = 0; r < out.rows(); ++r)
+            buf[r] = out(r, c);
+        line(buf);
+        for (std::size_t r = 0; r < out.rows(); ++r)
+            out(r, c) = buf[r];
+    }
+    return out;
+}
+
+TEST(Fft2dLanes, ForwardAndInverseMatchOracleUnderBothModes)
+{
+    for (const GridShape &shape : kLaneShapes) {
+        // The O(n^4) oracle up to 96^2; 500^2 against the separable one.
+        const bool direct = shape.rows * shape.cols <= 96 * 96;
+        auto oracle = direct ? oracle::dft2d : separableDft2d;
+        const Field base = randomGrid(shape.rows, shape.cols, 31);
+        const Field fwd_ref = oracle(base, -1);
+        Field inv_ref = oracle(base, +1);
+        const Real cells = static_cast<Real>(shape.rows * shape.cols);
+        for (std::size_t i = 0; i < inv_ref.size(); ++i)
+            inv_ref[i] /= cells;
+        Fft2d fft(shape.rows, shape.cols);
+        for (FftKernelMode mode :
+             {FftKernelMode::Scalar, FftKernelMode::Simd}) {
+            FftKernelModeGuard guard(mode);
+            Field fwd = base, inv = base;
+            fft.forward(&fwd);
+            fft.inverse(&inv);
+            EXPECT_LT(maxAbsDiff(fwd, fwd_ref), 1e-12 * cells)
+                << shape.rows << "x" << shape.cols << " forward";
+            EXPECT_LT(maxAbsDiff(inv, inv_ref), 1e-12)
+                << shape.rows << "x" << shape.cols << " inverse";
+        }
+    }
+}
+
+TEST_F(ScalarVsSimd, Fft2dLaneShapesWithinPinnedTolerance)
+{
+    for (const GridShape &shape : kLaneShapes) {
+        const Real bound = kFftKernelTolerance *
+                           static_cast<Real>(std::max(shape.rows, shape.cols));
+        const Field base = randomGrid(shape.rows, shape.cols, 41);
+        Fft2d fft(shape.rows, shape.cols);
+        for (bool inverse : {false, true}) {
+            Field scalar = base, simd = base;
+            {
+                FftKernelModeGuard guard(FftKernelMode::Scalar);
+                inverse ? fft.inverse(&scalar) : fft.forward(&scalar);
+            }
+            {
+                FftKernelModeGuard guard(FftKernelMode::Simd);
+                inverse ? fft.inverse(&simd) : fft.forward(&simd);
+            }
+            EXPECT_LE(maxAbsDiff(scalar, simd), bound)
+                << shape.rows << "x" << shape.cols
+                << (inverse ? " inverse" : " forward");
+        }
+    }
+}
+
+TEST(Fft2dLanes, ColumnCountNotMultipleOfLaneBlock)
+{
+    const std::size_t rows = 12, cols = 2 * lanes::kLaneBlock + 8;
+    ASSERT_NE(cols % lanes::kLaneBlock, 0u);
+    const Field base = randomGrid(rows, cols, 51);
+    const Field ref = oracle::dft2d(base, -1);
+    Fft2d fft(rows, cols);
+    FftKernelModeGuard guard(FftKernelMode::Simd);
+    Field fwd = base;
+    fft.forward(&fwd);
+    EXPECT_LT(maxAbsDiff(fwd, ref), 1e-9);
+    fft.inverse(&fwd);
+    EXPECT_LT(maxAbsDiff(fwd, base), 1e-12);
+}
+
+/**
+ * The fused hop against forward -> hadamard -> inverse in natural order:
+ * plain and conjugate kernels, a shift ramp, same-size and zero-padded
+ * inputs, under both kernel sets.
+ */
+TEST(Fft2dLanes, ConvolveIntoMatchesNaturalOrderHop)
+{
+    struct Case
+    {
+        GridShape plan, in;
+    };
+    for (const Case &c : {Case{{96, 96}, {96, 96}}, Case{{64, 64}, {40, 40}},
+                          Case{{24, 36}, {24, 36}}, Case{{12, 37}, {9, 30}}}) {
+        Fft2d fft(c.plan.rows, c.plan.cols);
+        const Field in = randomGrid(c.in.rows, c.in.cols, 61);
+        const Field kernel = randomPhasors(c.plan.rows, c.plan.cols, 62);
+        Field spectrum_kernel;
+        transposeSpectrum(kernel, spectrum_kernel);
+        const HopPerturbation shift =
+            randomShift(c.plan.rows, c.plan.cols, 63);
+        PropagationWorkspace workspace;
+        for (FftKernelMode mode :
+             {FftKernelMode::Scalar, FftKernelMode::Simd}) {
+            FftKernelModeGuard guard(mode);
+            for (bool conjugate : {false, true})
+                for (const HopPerturbation *hop :
+                     {static_cast<const HopPerturbation *>(nullptr),
+                      &shift}) {
+                    Field fused;
+                    fft.convolveInto(in, fused, spectrum_kernel, conjugate,
+                                     hop, workspace);
+                    const Field ref =
+                        naturalOrderHop(fft, in, kernel, conjugate, hop);
+                    EXPECT_LT(maxAbsDiff(fused, ref),
+                              kFftKernelTolerance *
+                                  static_cast<Real>(c.plan.cols))
+                        << c.plan.rows << "x" << c.plan.cols << " in "
+                        << c.in.rows << "x" << c.in.cols
+                        << " conj=" << conjugate
+                        << " ramp=" << (hop != nullptr)
+                        << (mode == FftKernelMode::Simd ? " simd" : " scalar");
+                }
+        }
+    }
+}
+
+/**
+ * The baseline and AVX2 builds of the lane kernels are one source without
+ * FMA, so they agree bitwise: forward, inverse, and the fused hop (with a
+ * conjugate kernel, a shift ramp and a zero-padded input), on full and
+ * partial lane blocks.
+ */
+TEST(Fft2dLanes, BaselineAndAvx2BuildsAgreeBitwise)
+{
+    if (!simdKernelsCompiled() || !laneIsaSupported(LaneIsa::Avx2))
+        GTEST_SKIP() << "no AVX2 build of the lane kernels on this host";
+    FftKernelModeGuard mode(FftKernelMode::Simd);
+    for (const GridShape &shape : {GridShape{96, 96}, GridShape{24, 36},
+                                   GridShape{500, 500}}) {
+        Fft2d fft(shape.rows, shape.cols);
+        const Field base = randomGrid(shape.rows, shape.cols, 71);
+        Field spectrum_kernel;
+        transposeSpectrum(randomPhasors(shape.rows, shape.cols, 72),
+                          spectrum_kernel);
+        const HopPerturbation shift = randomShift(shape.rows, shape.cols, 73);
+        const Field padded_in =
+            randomGrid(shape.rows - 4, shape.cols - 3, 74);
+        PropagationWorkspace workspace;
+        auto run = [&](LaneIsa isa) {
+            LaneIsaGuard guard(isa);
+            std::vector<Field> out(5, base);
+            fft.forward(&out[0]);
+            fft.inverse(&out[1]);
+            fft.convolveInto(base, out[2], spectrum_kernel, false, nullptr,
+                             workspace);
+            fft.convolveInto(base, out[3], spectrum_kernel, true, &shift,
+                             workspace);
+            fft.convolveInto(padded_in, out[4], spectrum_kernel, false,
+                             &shift, workspace);
+            return out;
+        };
+        const std::vector<Field> baseline = run(LaneIsa::Baseline);
+        const std::vector<Field> avx2 = run(LaneIsa::Avx2);
+        for (std::size_t i = 0; i < baseline.size(); ++i)
+            EXPECT_TRUE(bitwiseSame(baseline[i], avx2[i]))
+                << shape.rows << "x" << shape.cols << " case " << i;
+    }
 }
 
 /** The 2-D engine agrees with the 2-D oracle under both kernel sets. */

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -79,6 +80,27 @@ TEST(Json, MalformedInputThrows)
     EXPECT_THROW(Json::parse("nul"), JsonError);
     EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
     EXPECT_THROW(Json::parse("{}extra"), JsonError);
+}
+
+TEST(Json, MalformedNumbersThrow)
+{
+    // Each of these used to parse as a prefix of the token.
+    for (const char *text :
+         {"[1.2.3]", "[1-2]", "[3e]", "[01]", "[.5]", "[1.]", "[+1]", "[-]",
+          "[1e+]", "[--1]", "[1E2E3]", "-"})
+        EXPECT_THROW(Json::parse(text), JsonError) << text;
+}
+
+TEST(Json, ValidNumbersParseExactly)
+{
+    const Json zero = Json::parse("-0");
+    EXPECT_EQ(zero.asNumber(), 0.0);
+    EXPECT_TRUE(std::signbit(zero.asNumber()));
+    EXPECT_EQ(Json::parse("1E+2").asNumber(), 100.0);
+    EXPECT_EQ(Json::parse("1e-300").asNumber(), 1e-300);
+    EXPECT_EQ(Json::parse("[0, 0.5, -12.75e1, 7]").asArray()[2].asNumber(),
+              -127.5);
+    EXPECT_EQ(Json::parse("0.1").asNumber(), 0.1);
 }
 
 TEST(Json, TypeMismatchThrows)

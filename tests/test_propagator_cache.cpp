@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,7 +17,9 @@
 #include "core/model.hpp"
 #include "fft/fft.hpp"
 #include "fft/kernels.hpp"
+#include "optics/perturbation.hpp"
 #include "optics/propagator.hpp"
+#include "optics/workspace.hpp"
 #include "utils/rng.hpp"
 #include "utils/thread_pool.hpp"
 #include "utils/timer.hpp"
@@ -75,16 +78,99 @@ TEST(TransferFunctionCache, SecondPropagatorHitsCache)
     EXPECT_EQ(&first.kernel(), &second.kernel());
 }
 
+/**
+ * The cache holds each kernel in spectrum order (the transpose of the
+ * natural-order transfer function), built once: it must equal the
+ * uncached kernel stored the same way, bit for bit.
+ */
 TEST(TransferFunctionCache, CachedKernelBitwiseMatchesUncached)
 {
     clearTransferFunctionCache();
     PropagatorConfig config = referenceConfig();
     Propagator cached(config);
 
-    Field uncached = transferFunction(config.approx, config.method,
-                                      config.grid, config.wavelength,
-                                      config.distance);
+    Field uncached;
+    transposeSpectrum(transferFunction(config.approx, config.method,
+                                       config.grid, config.wavelength,
+                                       config.distance),
+                      uncached);
     EXPECT_TRUE(bitwiseEqual(cached.kernel(), uncached));
+}
+
+/** Perturbed-distance entries are cached in spectrum order too. */
+TEST(TransferFunctionCache, PerturbedDistanceKernelInSpectrumOrder)
+{
+    clearTransferFunctionCache();
+    PropagatorConfig config = referenceConfig(48);
+    config.pad_factor = 2;
+    Propagator prop(config);
+    const Real dz = 0.01;
+    HopPerturbation hop;
+    fillHopPerturbation(prop, 0.0, 0.0, dz, hop);
+    ASSERT_NE(hop.kernel, nullptr);
+
+    const Grid padded{prop.paddedSize(), config.grid.pitch};
+    Field uncached;
+    transposeSpectrum(transferFunction(config.approx, config.method, padded,
+                                       config.wavelength,
+                                       config.distance + dz),
+                      uncached);
+    EXPECT_TRUE(bitwiseEqual(*hop.kernel, uncached));
+}
+
+/**
+ * A perturbed-distance hop (with a shift ramp) through the fused
+ * convolveInto against the same hop run in natural order: forward FFT,
+ * natural-order kernel at z + dz, ramp, inverse FFT, crop.
+ */
+TEST(TransferFunctionCache, PerturbedHopMatchesNaturalOrderPipeline)
+{
+    for (FftKernelMode mode : {FftKernelMode::Scalar, FftKernelMode::Simd}) {
+        FftKernelModeGuard guard(mode);
+        PropagatorConfig config = referenceConfig(48);
+        config.pad_factor = 2;
+        Propagator prop(config);
+        const std::size_t p = prop.paddedSize();
+        HopPerturbation hop;
+        fillHopPerturbation(prop, 2 * config.grid.pitch, -config.grid.pitch,
+                            0.01, hop);
+        ASSERT_TRUE(hop.has_shift);
+        const Grid padded{p, config.grid.pitch};
+        const Field natural_kernel =
+            transferFunction(config.approx, config.method, padded,
+                             config.wavelength, config.distance + hop.dz);
+        const Field input = randomField(config.grid.n, 37);
+        PropagationWorkspace workspace;
+        Fft2d fft(p, p);
+        for (bool adjoint : {false, true}) {
+            Field fused;
+            if (adjoint)
+                prop.adjointInto(input, fused, workspace, &hop);
+            else
+                prop.forwardInto(input, fused, workspace, &hop);
+
+            Field work(p, p);
+            for (std::size_t r = 0; r < config.grid.n; ++r)
+                for (std::size_t c = 0; c < config.grid.n; ++c)
+                    work(r, c) = input(r, c);
+            fft.forward(&work);
+            for (std::size_t r = 0; r < p; ++r)
+                for (std::size_t c = 0; c < p; ++c) {
+                    Complex g = natural_kernel(r, c) * hop.ramp_row[r] *
+                                hop.ramp_col[c];
+                    work(r, c) *= adjoint ? std::conj(g) : g;
+                }
+            fft.inverse(&work);
+            Real worst = 0;
+            for (std::size_t r = 0; r < config.grid.n; ++r)
+                for (std::size_t c = 0; c < config.grid.n; ++c)
+                    worst = std::max(worst,
+                                     std::abs(fused(r, c) - work(r, c)));
+            EXPECT_LE(worst, kFftKernelTolerance * static_cast<Real>(p))
+                << (adjoint ? "adjoint" : "forward")
+                << (mode == FftKernelMode::Simd ? " simd" : " scalar");
+        }
+    }
 }
 
 TEST(TransferFunctionCache, CachedForwardBitwiseMatchesUncachedPath)
