@@ -72,22 +72,6 @@ CodesignLayer::unitSoftmax(std::size_t i, bool with_noise, Real *out)
         out[j] /= total;
 }
 
-Field
-CodesignLayer::forward(const Field &in, bool training)
-{
-    Field u = in;
-    forwardInPlace(u, training, PropagationWorkspace::threadLocal());
-    return u;
-}
-
-Field
-CodesignLayer::infer(const Field &in) const
-{
-    Field u = in;
-    inferInPlace(u, PropagationWorkspace::threadLocal());
-    return u;
-}
-
 void
 CodesignLayer::forwardInPlace(Field &u, bool training,
                               PropagationWorkspace &workspace)
@@ -168,14 +152,6 @@ CodesignLayer::clone() const
     // The rng_ pointer is copied as-is; parallel trainers rewire each
     // replica to its own noise source via setRng().
     return std::make_unique<CodesignLayer>(*this);
-}
-
-Field
-CodesignLayer::backward(const Field &grad_out)
-{
-    Field g = grad_out;
-    backwardInPlace(g, PropagationWorkspace::threadLocal());
-    return g;
 }
 
 void

@@ -63,22 +63,6 @@ DiffractiveLayer::publishedModulation() const
     return infer_modulation_;
 }
 
-Field
-DiffractiveLayer::forward(const Field &in, bool training)
-{
-    Field u = in;
-    forwardInPlace(u, training, PropagationWorkspace::threadLocal());
-    return u;
-}
-
-Field
-DiffractiveLayer::infer(const Field &in) const
-{
-    Field u = in;
-    inferInPlace(u, PropagationWorkspace::threadLocal());
-    return u;
-}
-
 void
 DiffractiveLayer::ensureModulation()
 {
@@ -156,14 +140,6 @@ LayerPtr
 DiffractiveLayer::clone() const
 {
     return std::make_unique<DiffractiveLayer>(*this);
-}
-
-Field
-DiffractiveLayer::backward(const Field &grad_out)
-{
-    Field g = grad_out;
-    backwardInPlace(g, PropagationWorkspace::threadLocal());
-    return g;
 }
 
 void

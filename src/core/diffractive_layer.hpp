@@ -36,9 +36,6 @@ class DiffractiveLayer : public Layer
 
     std::string kind() const override { return "diffractive"; }
 
-    Field forward(const Field &in, bool training) override;
-    Field backward(const Field &grad_out) override;
-    Field infer(const Field &in) const override;
     void forwardInPlace(Field &u, bool training,
                         PropagationWorkspace &workspace) override;
     void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;
@@ -74,8 +71,8 @@ class DiffractiveLayer : public Layer
      * with the cache it runs once per optimizer step. Values are the
      * exact std::polar results the uncached loops produced, so training
      * stays bitwise-identical.
-     * Training-path only: infer() keeps computing polar directly and
-     * stays safe for concurrent use of a shared instance.
+     * Training-path only: inferInPlace() reads the published table
+     * instead and stays safe for concurrent use of a shared instance.
      */
     void ensureModulation();
 

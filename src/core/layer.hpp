@@ -4,9 +4,13 @@
  *
  * Gradients follow the Wirtinger adjoint convention: for a real loss L and
  * complex field U, the gradient field is G with dL = Re(sum conj(G) * dU).
- * Each layer caches whatever it needs during forward() and consumes/clears
- * it in backward(). Parameter gradients accumulate across a batch until
- * zeroGrad().
+ * Each layer caches whatever it needs during forwardInPlace() and consumes
+ * it in backwardInPlace(). Parameter gradients accumulate across a batch
+ * until zeroGrad().
+ *
+ * A layer implements three compute virtuals, all in place on a
+ * PropagationWorkspace: forwardInPlace, backwardInPlace and inferInPlace.
+ * The by-value forward/backward/infer are non-virtual wrappers over them.
  */
 #pragma once
 
@@ -42,56 +46,57 @@ class Layer
     virtual std::string kind() const = 0;
 
     /**
-     * Propagate a field through the layer.
-     * @param in input wavefield
+     * In-place forward: `u` holds the input on entry and the layer output
+     * on return, with propagation scratch leased from the workspace so
+     * steady-state execution allocates nothing.
      * @param training true during training (enables activation caching,
      *        Gumbel sampling, LayerNorm); false for pure inference
      */
-    virtual Field forward(const Field &in, bool training) = 0;
+    virtual void forwardInPlace(Field &u, bool training,
+                                PropagationWorkspace &workspace) = 0;
 
     /**
-     * Backpropagate a Wirtinger gradient through the layer, accumulating
-     * parameter gradients. Must follow a forward(..., true) call.
+     * In-place backward: `g` holds the Wirtinger gradient dL/d(out) on
+     * entry and dL/d(in) on return; parameter gradients accumulate. Must
+     * follow a forwardInPlace(..., true) call.
      */
-    virtual Field backward(const Field &grad_out) = 0;
+    virtual void backwardInPlace(Field &g,
+                                 PropagationWorkspace &workspace) = 0;
 
     /**
-     * Pure-inference forward pass. Implementations must not mutate any
-     * layer state, so one shared layer instance can propagate independent
+     * In-place pure inference. Implementations must not mutate any layer
+     * state, so one shared layer instance can propagate independent
      * samples concurrently (the batched emulation path). Numerically
-     * identical to forward(in, false).
+     * identical to forwardInPlace(u, false, workspace).
      */
-    virtual Field infer(const Field &in) const = 0;
+    virtual void inferInPlace(Field &u,
+                              PropagationWorkspace &workspace) const = 0;
 
-    /**
-     * In-place forward: `u` holds the input on entry and the layer output
-     * on return, with propagation scratch leased from the workspace so
-     * steady-state execution allocates nothing. Bitwise-identical to
-     * forward(). The default delegates to the by-value path; the optical
-     * layers override it with true zero-allocation pipelines.
-     */
-    virtual void
-    forwardInPlace(Field &u, bool training, PropagationWorkspace &workspace)
+    /** By-value forwardInPlace() on the calling thread's workspace. */
+    Field
+    forward(const Field &in, bool training)
     {
-        (void)workspace;
-        u = forward(u, training);
+        Field u = in;
+        forwardInPlace(u, training, PropagationWorkspace::threadLocal());
+        return u;
     }
 
-    /** In-place backward: `g` holds dL/d(out) on entry, dL/d(in) on
-     *  return. Bitwise-identical to backward(). */
-    virtual void
-    backwardInPlace(Field &g, PropagationWorkspace &workspace)
+    /** By-value backwardInPlace() on the calling thread's workspace. */
+    Field
+    backward(const Field &grad_out)
     {
-        (void)workspace;
-        g = backward(g);
+        Field g = grad_out;
+        backwardInPlace(g, PropagationWorkspace::threadLocal());
+        return g;
     }
 
-    /** In-place thread-safe inference; bitwise-identical to infer(). */
-    virtual void
-    inferInPlace(Field &u, PropagationWorkspace &workspace) const
+    /** By-value inferInPlace() on the calling thread's workspace. */
+    Field
+    infer(const Field &in) const
     {
-        (void)workspace;
-        u = infer(u);
+        Field u = in;
+        inferInPlace(u, PropagationWorkspace::threadLocal());
+        return u;
     }
 
     /**

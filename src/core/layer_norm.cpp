@@ -4,14 +4,6 @@
 
 namespace lightridge {
 
-Field
-LayerNormLayer::forward(const Field &in, bool training)
-{
-    Field u = in;
-    forwardInPlace(u, training, PropagationWorkspace::threadLocal());
-    return u;
-}
-
 void
 LayerNormLayer::forwardInPlace(Field &u, bool training,
                                PropagationWorkspace &)
@@ -41,14 +33,6 @@ LayerNormLayer::forwardInPlace(Field &u, bool training,
         u[i] = y;
     }
     active_ = true;
-}
-
-Field
-LayerNormLayer::backward(const Field &grad_out)
-{
-    Field g = grad_out;
-    backwardInPlace(g, PropagationWorkspace::threadLocal());
-    return g;
 }
 
 void

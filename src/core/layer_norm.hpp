@@ -30,13 +30,10 @@ class LayerNormLayer : public Layer
 
     std::string kind() const override { return "layernorm"; }
 
-    Field forward(const Field &in, bool training) override;
-    Field backward(const Field &grad_out) override;
-    /** Inference is the identity: the optical system cannot normalize. */
-    Field infer(const Field &in) const override { return in; }
     void forwardInPlace(Field &u, bool training,
                         PropagationWorkspace &workspace) override;
     void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;
+    /** Inference is the identity: the optical system cannot normalize. */
     void inferInPlace(Field &, PropagationWorkspace &) const override {}
     LayerPtr clone() const override
     {

@@ -222,26 +222,6 @@ DonnModel::forwardFieldBatch(const std::vector<Field> &inputs,
     return outputs;
 }
 
-std::vector<std::vector<Real>>
-DonnModel::forwardLogitsBatch(const std::vector<Field> &inputs,
-                              ThreadPool *pool) const
-{
-    if (detector_.numClasses() == 0)
-        throw std::logic_error("DonnModel: detector not configured");
-    std::vector<std::vector<Real>> logits(inputs.size());
-    if (pool == nullptr)
-        pool = &ThreadPool::global();
-    pool->parallelFor(inputs.size(), [&](std::size_t i) {
-        PropagationWorkspace &workspace =
-            PropagationWorkspace::threadLocal();
-        WorkspaceField u(workspace, inputs[i].rows(), inputs[i].cols());
-        std::copy(inputs[i].data(), inputs[i].data() + inputs[i].size(),
-                  u->data());
-        logits[i] = inferLogitsInPlace(u.get(), workspace);
-    });
-    return logits;
-}
-
 std::vector<Real>
 DonnModel::forwardLogits(const Field &input, bool training)
 {

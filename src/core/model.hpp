@@ -185,11 +185,6 @@ class DonnModel
     std::vector<Field> forwardFieldBatch(const std::vector<Field> &inputs,
                                          ThreadPool *pool = nullptr) const;
 
-    /** Batched detector logits over forwardFieldBatch(). */
-    std::vector<std::vector<Real>>
-    forwardLogitsBatch(const std::vector<Field> &inputs,
-                       ThreadPool *pool = nullptr) const;
-
     /** Detector logits; caches activations when training. */
     std::vector<Real> forwardLogits(const Field &input,
                                     bool training = false);

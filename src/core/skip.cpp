@@ -18,22 +18,6 @@ OpticalSkipLayer::OpticalSkipLayer(std::vector<LayerPtr> inner,
         throw std::invalid_argument("OpticalSkipLayer: empty block");
 }
 
-Field
-OpticalSkipLayer::forward(const Field &in, bool training)
-{
-    Field u = in;
-    forwardInPlace(u, training, PropagationWorkspace::threadLocal());
-    return u;
-}
-
-Field
-OpticalSkipLayer::infer(const Field &in) const
-{
-    Field u = in;
-    inferInPlace(u, PropagationWorkspace::threadLocal());
-    return u;
-}
-
 void
 OpticalSkipLayer::forwardInPlace(Field &u, bool training,
                                  PropagationWorkspace &workspace)
@@ -74,14 +58,6 @@ OpticalSkipLayer::clone() const
         inner.push_back(layer->clone());
     return std::make_unique<OpticalSkipLayer>(std::move(inner), shortcut_,
                                               alpha_, beta_);
-}
-
-Field
-OpticalSkipLayer::backward(const Field &grad_out)
-{
-    Field g = grad_out;
-    backwardInPlace(g, PropagationWorkspace::threadLocal());
-    return g;
 }
 
 void

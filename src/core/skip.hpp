@@ -37,9 +37,6 @@ class OpticalSkipLayer : public Layer
 
     std::string kind() const override { return "skip"; }
 
-    Field forward(const Field &in, bool training) override;
-    Field backward(const Field &grad_out) override;
-    Field infer(const Field &in) const override;
     void forwardInPlace(Field &u, bool training,
                         PropagationWorkspace &workspace) override;
     void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;

@@ -1,6 +1,7 @@
 #include "core/task.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "core/skip.hpp"
@@ -10,6 +11,96 @@
 namespace lightridge {
 
 Task::~Task() = default;
+
+namespace {
+
+/** Thread-safe test-time logits of one sample. */
+std::vector<Real>
+inferSampleLogits(const DonnModel &model, const RealMap &image)
+{
+    return model.detector().readout(model.inferField(model.encode(image)));
+}
+
+std::vector<Real>
+inferSampleLogits(const MultiChannelDonn &model,
+                  const std::array<RealMap, 3> &rgb)
+{
+    return model.inferLogits(model.encode(rgb));
+}
+
+/**
+ * Share of the samples whose label is among the top-k inference logits,
+ * for each k of `ks`: one parallel inference pass, reduced in index order
+ * so the result is independent of scheduling.
+ */
+template <class Model, class Dataset, std::size_t N>
+std::array<Real, N>
+topKRates(const Model &model, const Dataset &data,
+          const std::array<std::size_t, N> &ks)
+{
+    std::array<Real, N> rates{};
+    if (data.size() == 0)
+        return rates;
+    std::vector<std::array<std::uint8_t, N>> hits(data.size());
+    ThreadPool::global().parallelFor(data.size(), [&](std::size_t i) {
+        std::vector<Real> logits = inferSampleLogits(model, data.images[i]);
+        for (std::size_t j = 0; j < N; ++j)
+            hits[i][j] = topKContains(logits, data.labels[i], ks[j]) ? 1 : 0;
+    });
+    for (std::size_t j = 0; j < N; ++j) {
+        std::size_t count = 0;
+        for (const auto &hit : hits)
+            count += hit[j];
+        rates[j] = static_cast<Real>(count) / data.size();
+    }
+    return rates;
+}
+
+/** Top-1/top-3 accuracy over a bound test set; zeros when unbound. */
+template <class Model, class Dataset>
+TaskMetrics
+topKMetrics(const Model &model, const Dataset *test)
+{
+    TaskMetrics metrics;
+    if (test == nullptr)
+        return metrics;
+    const std::array<Real, 2> rates =
+        topKRates(model, *test, std::array<std::size_t, 2>{1, 3});
+    metrics.primary = rates[0];
+    metrics.top3 = rates[1];
+    return metrics;
+}
+
+/**
+ * Detector calibration shared by the classification-style tasks: scale
+ * every stack's amp_factor so the mean top logit over a probe of the
+ * training source lands on `target`.
+ */
+template <class Model, class Source>
+void
+calibrateAmpFactor(Model &model, Source &source, std::size_t probe,
+                   Real target)
+{
+    probe = std::min(probe, source.size());
+    if (probe == 0)
+        return;
+    source.stageIndices(0, probe);
+    const std::vector<DonnModel *> stacks = modelStacks(model);
+    for (DonnModel *stack : stacks)
+        stack->detector().setAmpFactor(1.0);
+    Real mean_top = 0;
+    for (std::size_t i = 0; i < probe; ++i) {
+        std::vector<Real> logits =
+            model.forwardLogits(model.encode(source.image(i)), false);
+        mean_top += *std::max_element(logits.begin(), logits.end());
+    }
+    mean_top /= static_cast<Real>(probe);
+    if (mean_top > 0)
+        for (DonnModel *stack : stacks)
+            stack->detector().setAmpFactor(target / mean_top);
+}
+
+} // namespace
 
 void
 forEachModelLayer(DonnModel &model, const std::function<void(Layer *)> &fn)
@@ -68,11 +159,27 @@ modelLayerHops(const DonnModel &model)
     return hops;
 }
 
+std::vector<DonnModel *>
+modelStacks(DonnModel &model)
+{
+    return {&model};
+}
+
+std::vector<DonnModel *>
+modelStacks(MultiChannelDonn &model)
+{
+    std::vector<DonnModel *> stacks;
+    for (std::size_t ch = 0; ch < model.numChannels(); ++ch)
+        stacks.push_back(&model.channel(ch));
+    return stacks;
+}
+
 // --------------------------------------------------------------------------
-// DonnTaskBase replica engine
+// Replica engine
 // --------------------------------------------------------------------------
 
-DonnTaskBase::Replica::Replica(const DonnModel &source, uint64_t seed)
+template <class Model>
+ReplicaTask<Model>::Replica::Replica(const Model &source, uint64_t seed)
     : model(source.clone()), rng(seed)
 {
     // clone() copies rng_ pointers as-is; point every noise-enabled
@@ -80,12 +187,14 @@ DonnTaskBase::Replica::Replica(const DonnModel &source, uint64_t seed)
     // source instead, so replicas never share the session's
     // (non-thread-safe) rng. Noiseless layers stay noiseless, matching
     // the serial path exactly.
-    bindModelNoiseRng(model, &rng);
+    for (DonnModel *stack : modelStacks(model))
+        bindModelNoiseRng(*stack, &rng);
     params = model.params();
 }
 
+template <class Model>
 void
-DonnTaskBase::buildReplicas(const std::vector<uint64_t> &seeds)
+ReplicaTask<Model>::buildReplicas(const std::vector<uint64_t> &seeds)
 {
     // Rebuilt every epoch: clones capture the current tau/gamma annealing
     // state and detector calibration, and per-epoch seeds keep Gumbel
@@ -96,34 +205,36 @@ DonnTaskBase::buildReplicas(const std::vector<uint64_t> &seeds)
         replicas_.push_back(std::make_unique<Replica>(model_, seed));
 }
 
-std::vector<ParamView>
-DonnTaskBase::replicaParams(std::size_t r)
-{
-    return replicas_[r]->params;
-}
-
+template <class Model>
 void
-DonnTaskBase::zeroReplicaGrad(std::size_t r)
-{
-    replicas_[r]->model.zeroGrad();
-}
-
-SampleResult
-DonnTaskBase::trainSampleOn(std::size_t r, std::size_t index)
-{
-    return sampleStep(replicas_[r]->model, index);
-}
-
-void
-DonnTaskBase::syncReplicas()
+ReplicaTask<Model>::syncReplicas()
 {
     std::vector<ParamView> main_params = model_.params();
+    std::vector<DonnModel *> main_stacks = modelStacks(model_);
     for (auto &replica : replicas_) {
         for (std::size_t p = 0; p < main_params.size(); ++p)
             *replica->params[p].value = *main_params[p].value;
-        replica->model.detector().setAmpFactor(model_.detector().ampFactor());
+        std::vector<DonnModel *> stacks = modelStacks(replica->model);
+        for (std::size_t s = 0; s < stacks.size(); ++s)
+            stacks[s]->detector().setAmpFactor(
+                main_stacks[s]->detector().ampFactor());
     }
 }
+
+template <class Model>
+void
+ReplicaTask<Model>::setTau(Real tau)
+{
+    for (DonnModel *stack : modelStacks(model_))
+        applyModelTau(*stack, tau);
+}
+
+template class ReplicaTask<DonnModel>;
+template class ReplicaTask<MultiChannelDonn>;
+
+// --------------------------------------------------------------------------
+// DonnTaskBase vaccination
+// --------------------------------------------------------------------------
 
 void
 DonnTaskBase::setPerturbationSpec(const PerturbationSpec &spec)
@@ -181,22 +292,9 @@ ClassificationTask::calibrate()
 {
     if (config_.gamma > 0)
         applyModelGamma(model_, config_.gamma);
-
-    std::size_t probe = config_.calib_probe > 0 ? config_.calib_probe : 16;
-    probe = std::min(probe, source_->size());
-    if (probe == 0)
-        return;
-    source_->stageIndices(0, probe);
-    Real mean_top = 0;
-    model_.detector().setAmpFactor(1.0);
-    for (std::size_t i = 0; i < probe; ++i) {
-        Field input = model_.encode(source_->image(i));
-        std::vector<Real> logits = model_.forwardLogits(input, false);
-        mean_top += *std::max_element(logits.begin(), logits.end());
-    }
-    mean_top /= static_cast<Real>(probe);
-    if (mean_top > 0)
-        model_.detector().setAmpFactor(config_.calib_target / mean_top);
+    calibrateAmpFactor(model_, *source_,
+                       config_.calib_probe > 0 ? config_.calib_probe : 16,
+                       config_.calib_target);
     LR_LOG(Debug) << "calibrated amp_factor="
                   << model_.detector().ampFactor();
 }
@@ -227,29 +325,7 @@ ClassificationTask::sampleStep(DonnModel &model, std::size_t index)
 TaskMetrics
 ClassificationTask::evaluate()
 {
-    TaskMetrics metrics;
-    if (test_ == nullptr || test_->size() == 0)
-        return metrics;
-    const ClassDataset &data = *test_;
-
-    std::vector<std::uint8_t> hit1(data.size(), 0);
-    std::vector<std::uint8_t> hit3(data.size(), 0);
-    ThreadPool::global().parallelFor(data.size(), [&](std::size_t i) {
-        std::vector<Real> logits =
-            model_.detector().readout(
-                model_.inferField(model_.encode(data.images[i])));
-        hit1[i] = topKContains(logits, data.labels[i], 1) ? 1 : 0;
-        hit3[i] = topKContains(logits, data.labels[i], 3) ? 1 : 0;
-    });
-
-    std::size_t top1 = 0, top3 = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        top1 += hit1[i];
-        top3 += hit3[i];
-    }
-    metrics.primary = static_cast<Real>(top1) / data.size();
-    metrics.top3 = static_cast<Real>(top3) / data.size();
-    return metrics;
+    return topKMetrics(model_, test_);
 }
 
 // --------------------------------------------------------------------------
@@ -403,48 +479,24 @@ SegmentationTask::evaluateMse(const SegDataset &data)
 // RgbTask
 // --------------------------------------------------------------------------
 
-RgbTask::Replica::Replica(const MultiChannelDonn &source, uint64_t seed)
-    : model(source.clone()), rng(seed)
-{
-    for (std::size_t ch = 0; ch < model.numChannels(); ++ch)
-        bindModelNoiseRng(model.channel(ch), &rng);
-    params = model.params();
-}
-
 RgbTask::RgbTask(MultiChannelDonn &model, const RgbDataset &train,
                  const RgbDataset *test)
-    : model_(model),
+    : ReplicaTask(model),
       own_source_(std::make_unique<InMemoryRgbSource>(train)),
       source_(own_source_.get()), test_(test)
 {}
 
 RgbTask::RgbTask(MultiChannelDonn &model, RgbSource &train,
                  const RgbDataset *test)
-    : model_(model), source_(&train), test_(test)
+    : ReplicaTask(model), source_(&train), test_(test)
 {}
 
 void
 RgbTask::calibrate()
 {
-    std::size_t probe = config_.calib_probe > 0 ? config_.calib_probe : 8;
-    probe = std::min(probe, source_->size());
-    if (probe == 0)
-        return;
-    source_->stageIndices(0, probe);
-    Real mean_top = 0;
-    for (std::size_t ch = 0; ch < model_.numChannels(); ++ch)
-        model_.channel(ch).detector().setAmpFactor(1.0);
-    for (std::size_t i = 0; i < probe; ++i) {
-        std::vector<Real> logits =
-            model_.forwardLogits(model_.encode(source_->image(i)), false);
-        mean_top += *std::max_element(logits.begin(), logits.end());
-    }
-    mean_top /= static_cast<Real>(probe);
-    if (mean_top > 0) {
-        Real amp = config_.calib_target / mean_top;
-        for (std::size_t ch = 0; ch < model_.numChannels(); ++ch)
-            model_.channel(ch).detector().setAmpFactor(amp);
-    }
+    calibrateAmpFactor(model_, *source_,
+                       config_.calib_probe > 0 ? config_.calib_probe : 8,
+                       config_.calib_target);
 }
 
 SampleResult
@@ -464,88 +516,10 @@ RgbTask::sampleStep(MultiChannelDonn &model, std::size_t index)
     return result;
 }
 
-SampleResult
-RgbTask::trainSample(std::size_t index)
-{
-    return sampleStep(model_, index);
-}
-
-void
-RgbTask::buildReplicas(const std::vector<uint64_t> &seeds)
-{
-    replicas_.clear();
-    replicas_.reserve(seeds.size());
-    for (uint64_t seed : seeds)
-        replicas_.push_back(std::make_unique<Replica>(model_, seed));
-}
-
-std::vector<ParamView>
-RgbTask::replicaParams(std::size_t r)
-{
-    return replicas_[r]->params;
-}
-
-void
-RgbTask::zeroReplicaGrad(std::size_t r)
-{
-    replicas_[r]->model.zeroGrad();
-}
-
-SampleResult
-RgbTask::trainSampleOn(std::size_t r, std::size_t index)
-{
-    return sampleStep(replicas_[r]->model, index);
-}
-
-void
-RgbTask::syncReplicas()
-{
-    std::vector<ParamView> main_params = model_.params();
-    for (auto &replica : replicas_) {
-        for (std::size_t p = 0; p < main_params.size(); ++p)
-            *replica->params[p].value = *main_params[p].value;
-        for (std::size_t ch = 0; ch < model_.numChannels(); ++ch)
-            replica->model.channel(ch).detector().setAmpFactor(
-                model_.channel(ch).detector().ampFactor());
-    }
-}
-
-void
-RgbTask::setTau(Real tau)
-{
-    for (std::size_t ch = 0; ch < model_.numChannels(); ++ch)
-        applyModelTau(model_.channel(ch), tau);
-}
-
 TaskMetrics
 RgbTask::evaluate()
 {
-    TaskMetrics metrics;
-    if (test_ == nullptr || test_->size() == 0)
-        return metrics;
-    const RgbDataset &data = *test_;
-    std::vector<std::uint8_t> hit1(data.size(), 0);
-    std::vector<std::uint8_t> hit3(data.size(), 0);
-    ThreadPool::global().parallelFor(data.size(), [&](std::size_t i) {
-        std::vector<Real> logits =
-            model_.inferLogits(model_.encode(data.images[i]));
-        hit1[i] = topKContains(logits, data.labels[i], 1) ? 1 : 0;
-        hit3[i] = topKContains(logits, data.labels[i], 3) ? 1 : 0;
-    });
-    std::size_t top1 = 0, top3 = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        top1 += hit1[i];
-        top3 += hit3[i];
-    }
-    metrics.primary = static_cast<Real>(top1) / data.size();
-    metrics.top3 = static_cast<Real>(top3) / data.size();
-    return metrics;
-}
-
-bool
-RgbTask::save(const std::string &path) const
-{
-    return model_.save(path);
+    return topKMetrics(model_, test_);
 }
 
 // --------------------------------------------------------------------------
@@ -604,19 +578,7 @@ evaluateWithConfidence(DonnModel &model, const ClassDataset &data,
 Real
 evaluateTopK(DonnModel &model, const ClassDataset &data, std::size_t k)
 {
-    if (data.size() == 0)
-        return 0;
-    std::vector<std::uint8_t> hit(data.size(), 0);
-    ThreadPool::global().parallelFor(data.size(), [&](std::size_t i) {
-        std::vector<Real> logits =
-            model.detector().readout(
-                model.inferField(model.encode(data.images[i])));
-        hit[i] = topKContains(logits, data.labels[i], k) ? 1 : 0;
-    });
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < data.size(); ++i)
-        hits += hit[i];
-    return static_cast<Real>(hits) / data.size();
+    return topKRates(model, data, std::array<std::size_t, 1>{k})[0];
 }
 
 Real
@@ -629,18 +591,7 @@ Real
 evaluateRgbTopK(MultiChannelDonn &model, const RgbDataset &data,
                 std::size_t k)
 {
-    if (data.size() == 0)
-        return 0;
-    std::vector<std::uint8_t> hit(data.size(), 0);
-    ThreadPool::global().parallelFor(data.size(), [&](std::size_t i) {
-        std::vector<Real> logits =
-            model.inferLogits(model.encode(data.images[i]));
-        hit[i] = topKContains(logits, data.labels[i], k) ? 1 : 0;
-    });
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < data.size(); ++i)
-        hits += hit[i];
-    return static_cast<Real>(hits) / data.size();
+    return topKRates(model, data, std::array<std::size_t, 1>{k})[0];
 }
 
 } // namespace lightridge

@@ -6,9 +6,9 @@
  * behind a polymorphic interface the Session engine can drive without
  * knowing whether it is classifying digits on a single stack, mapping
  * street scenes to masks, or training the three-channel RGB architecture.
- * Tasks also own the data-parallel replica machinery (cloned models with
- * private noise streams) so every workload gets data-parallel batch
- * training, not just classification.
+ * All three tasks share one data-parallel replica engine (ReplicaTask:
+ * cloned models with private noise streams), generic over the model
+ * type, so every workload gets data-parallel batch training.
  */
 #pragma once
 
@@ -173,9 +173,6 @@ class Task
     /** Build per-worker model replicas (one seed per replica). */
     virtual void buildReplicas(const std::vector<uint64_t> &seeds) = 0;
 
-    /** Number of live replicas. */
-    virtual std::size_t replicaCount() const = 0;
-
     /** Parameter views of replica r (cached, stable per epoch). */
     virtual std::vector<ParamView> replicaParams(std::size_t r) = 0;
 
@@ -245,15 +242,24 @@ void bindModelNoiseRng(DonnModel &model, Rng *rng);
 std::vector<const Propagator *> modelLayerHops(const DonnModel &model);
 
 /**
- * Shared replica machinery for tasks whose primary model is a DonnModel
- * (classification, segmentation). Derived tasks implement sampleStep()
+ * The single-stack models a model is made of: the model itself, or the
+ * three channel stacks of an RGB model. Noise-rng binding, tau and the
+ * detector calibration (amp_factor) apply stack by stack.
+ */
+std::vector<DonnModel *> modelStacks(DonnModel &model);
+std::vector<DonnModel *> modelStacks(MultiChannelDonn &model);
+
+/**
+ * Shared replica machinery, generic over the primary model type
+ * (DonnModel or MultiChannelDonn). Derived tasks implement sampleStep()
  * against whichever model instance (primary or replica) the Session
  * schedules.
  */
-class DonnTaskBase : public Task
+template <class Model>
+class ReplicaTask : public Task
 {
   public:
-    DonnModel &model() { return model_; }
+    Model &model() { return model_; }
 
     std::vector<ParamView> params() override { return model_.params(); }
     void zeroGrad() override { model_.zeroGrad(); }
@@ -263,18 +269,61 @@ class DonnTaskBase : public Task
     }
 
     void buildReplicas(const std::vector<uint64_t> &seeds) override;
-    std::size_t replicaCount() const override { return replicas_.size(); }
-    std::vector<ParamView> replicaParams(std::size_t r) override;
-    void zeroReplicaGrad(std::size_t r) override;
-    SampleResult trainSampleOn(std::size_t r, std::size_t index) override;
+    std::vector<ParamView> replicaParams(std::size_t r) override
+    {
+        return replicas_[r]->params;
+    }
+    void zeroReplicaGrad(std::size_t r) override
+    {
+        replicas_[r]->model.zeroGrad();
+    }
+    SampleResult trainSampleOn(std::size_t r, std::size_t index) override
+    {
+        return sampleStep(replicas_[r]->model, index);
+    }
     void syncReplicas() override;
 
-    void setTau(Real tau) override { applyModelTau(model_, tau); }
+    void setTau(Real tau) override;
     bool save(const std::string &path) const override
     {
         return model_.save(path);
     }
 
+  protected:
+    explicit ReplicaTask(Model &model) : model_(model) {}
+
+    /** Forward/backward one sample against the given model instance. */
+    virtual SampleResult sampleStep(Model &model, std::size_t index) = 0;
+
+    /**
+     * One data-parallel training worker: a full model replica (parameters
+     * copied, propagators shared) plus a private noise source so Gumbel
+     * sampling never races across threads. Parameter views are cached
+     * because the layer set of a replica is fixed.
+     */
+    struct Replica
+    {
+        Model model;
+        Rng rng;
+        std::vector<ParamView> params;
+
+        Replica(const Model &source, uint64_t seed);
+    };
+
+    Model &model_;
+    std::vector<std::unique_ptr<Replica>> replicas_;
+};
+
+extern template class ReplicaTask<DonnModel>;
+extern template class ReplicaTask<MultiChannelDonn>;
+
+/**
+ * Replica base of the single-stack tasks (classification, segmentation),
+ * plus misalignment-vaccinated training over the stack's hop geometry.
+ */
+class DonnTaskBase : public ReplicaTask<DonnModel>
+{
+  public:
     /**
      * Bind a misalignment spec for vaccinated training: builds the
      * per-batch sampler from the model's hop geometry. A spec with no
@@ -297,28 +346,7 @@ class DonnTaskBase : public Task
     }
 
   protected:
-    explicit DonnTaskBase(DonnModel &model) : model_(model) {}
-
-    /** Forward/backward one sample against the given model instance. */
-    virtual SampleResult sampleStep(DonnModel &model, std::size_t index) = 0;
-
-    /**
-     * One data-parallel training worker: a full model replica (parameters
-     * copied, propagators shared) plus a private noise source so Gumbel
-     * sampling never races across threads. Parameter views are cached
-     * because the layer set of a replica is fixed.
-     */
-    struct Replica
-    {
-        DonnModel model;
-        Rng rng;
-        std::vector<ParamView> params;
-
-        Replica(const DonnModel &source, uint64_t seed);
-    };
-
-    DonnModel &model_;
-    std::vector<std::unique_ptr<Replica>> replicas_;
+    explicit DonnTaskBase(DonnModel &model) : ReplicaTask(model) {}
 
     /**
      * Vaccination state: the sampler (null = no spec bound) and the one
@@ -418,7 +446,7 @@ class SegmentationTask : public DonnTaskBase
 };
 
 /** Multi-channel RGB classification workload (Section 5.6.1). */
-class RgbTask : public Task
+class RgbTask : public ReplicaTask<MultiChannelDonn>
 {
   public:
     /** Train from an in-memory dataset (borrowed; wrapped in a source). */
@@ -435,43 +463,18 @@ class RgbTask : public Task
     bool hasTest() const override { return test_ != nullptr; }
 
     void calibrate() override;
-    std::vector<ParamView> params() override { return model_.params(); }
-    void zeroGrad() override { model_.zeroGrad(); }
-    SampleResult trainSample(std::size_t index) override;
-
-    void buildReplicas(const std::vector<uint64_t> &seeds) override;
-    std::size_t replicaCount() const override { return replicas_.size(); }
-    std::vector<ParamView> replicaParams(std::size_t r) override;
-    void zeroReplicaGrad(std::size_t r) override;
-    SampleResult trainSampleOn(std::size_t r, std::size_t index) override;
-    void syncReplicas() override;
-
-    void setTau(Real tau) override;
 
     /** Top-1 and top-3 accuracy over the bound test set. */
     TaskMetrics evaluate() override;
 
-    bool save(const std::string &path) const override;
-
-    MultiChannelDonn &model() { return model_; }
+  protected:
+    SampleResult sampleStep(MultiChannelDonn &model,
+                            std::size_t index) override;
 
   private:
-    SampleResult sampleStep(MultiChannelDonn &model, std::size_t index);
-
-    struct Replica
-    {
-        MultiChannelDonn model;
-        Rng rng;
-        std::vector<ParamView> params;
-
-        Replica(const MultiChannelDonn &source, uint64_t seed);
-    };
-
-    MultiChannelDonn &model_;
     std::unique_ptr<InMemoryRgbSource> own_source_; ///< legacy ctor only
     RgbSource *source_;
     const RgbDataset *test_;
-    std::vector<std::unique_ptr<Replica>> replicas_;
 };
 
 /** Accuracy of a model over a dataset (optionally with detector noise). */

@@ -15,28 +15,6 @@ FixedModulationLayer::FixedModulationLayer(
         throw std::invalid_argument("FixedModulationLayer: shape mismatch");
 }
 
-Field
-FixedModulationLayer::forward(const Field &in, bool)
-{
-    return infer(in);
-}
-
-Field
-FixedModulationLayer::infer(const Field &in) const
-{
-    Field u = in;
-    inferInPlace(u, PropagationWorkspace::threadLocal());
-    return u;
-}
-
-Field
-FixedModulationLayer::backward(const Field &grad_out)
-{
-    Field g = grad_out;
-    backwardInPlace(g, PropagationWorkspace::threadLocal());
-    return g;
-}
-
 void
 FixedModulationLayer::forwardInPlace(Field &u, bool,
                                      PropagationWorkspace &workspace)

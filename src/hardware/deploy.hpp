@@ -25,7 +25,8 @@ namespace lightridge {
 /**
  * Frozen complex modulation layer used by deployed (hardware) models:
  * free-space hop followed by a fixed per-unit complex multiplication.
- * Not trainable; backward() is provided for completeness (pure adjoint).
+ * Not trainable; backwardInPlace() is provided for completeness (pure
+ * adjoint).
  */
 class FixedModulationLayer : public Layer
 {
@@ -34,9 +35,6 @@ class FixedModulationLayer : public Layer
                          Field modulation);
 
     std::string kind() const override { return "fixed"; }
-    Field forward(const Field &in, bool training) override;
-    Field backward(const Field &grad_out) override;
-    Field infer(const Field &in) const override;
     void forwardInPlace(Field &u, bool training,
                         PropagationWorkspace &workspace) override;
     void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;

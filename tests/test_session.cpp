@@ -3,9 +3,10 @@
  * Session engine behaviours across task kinds: bit-for-bit parity of the
  * workers=1 serial path against the legacy trainer recipes (reimplemented
  * here as explicit reference loops), data-parallel replica training for
- * segmentation/RGB, the synchronous replica schedule pinned against a
- * reference reimplementation, top-k reporting, per-epoch callbacks, and
- * the per-batch divergence guard in both epoch loops.
+ * segmentation/RGB, the synchronous replica schedule (classification and
+ * RGB) pinned against a reference reimplementation, top-k reporting,
+ * per-epoch callbacks, and the per-batch divergence guard in both epoch
+ * loops.
  */
 #include <gtest/gtest.h>
 
@@ -386,10 +387,12 @@ TEST(SessionCallbacks, EarlyStopCallbackStopsOnPlateau)
  * per batch, replica r trains samples r, r+active, ... sequentially;
  * replica gradients merge into the primary in fixed replica order; one
  * Adam step; parameters redistributed. Noise-free layers only, so clone
- * seeds do not matter.
+ * seeds do not matter. Drives the by-value model API of either a
+ * single-stack DonnModel or a MultiChannelDonn.
  */
+template <class Model, class Dataset>
 std::vector<Real>
-referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
+referenceSyncParallelLosses(Model &model, const Dataset &train,
                             const TrainConfig &cfg, std::size_t workers)
 {
     Adam optimizer(cfg.lr);
@@ -400,7 +403,7 @@ referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
     std::vector<Real> losses;
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         std::vector<std::size_t> order = refOrder(train.size(), &rng);
-        std::vector<DonnModel> replicas;
+        std::vector<Model> replicas;
         for (std::size_t r = 0; r < workers; ++r)
             replicas.push_back(model.clone());
         Real loss_sum = 0;
@@ -413,9 +416,8 @@ referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
             for (std::size_t r = 0; r < active; ++r) {
                 for (std::size_t j = r; j < batch; j += active) {
                     std::size_t idx = order[start + j];
-                    Field input = replicas[r].encode(train.images[idx]);
-                    std::vector<Real> logits =
-                        replicas[r].forwardLogits(input, true);
+                    std::vector<Real> logits = replicas[r].forwardLogits(
+                        replicas[r].encode(train.images[idx]), true);
                     LossResult loss = classificationLoss(
                         cfg.loss, logits, train.labels[idx]);
                     part[r] += loss.value;
@@ -467,6 +469,35 @@ TEST(SessionParallel, MatchesSynchronousReferenceBitwise)
 
     DonnModel model = classModel(9);
     ClassificationTask task(model, train);
+    std::vector<EpochStats> history = Session(task, cfg).fit();
+
+    ASSERT_EQ(history.size(), reference.size());
+    for (std::size_t e = 0; e < reference.size(); ++e)
+        EXPECT_EQ(history[e].train_loss, reference[e]) << "epoch " << e;
+}
+
+TEST(SessionParallel, RgbMatchesSynchronousReferenceBitwise)
+{
+    // Same pin for the three-stack RGB model: the shared replica engine
+    // must reproduce the synchronous schedule bit for bit.
+    SceneConfig scfg;
+    scfg.image_size = 16;
+    RgbDataset train = makeSynthScenes(13, 1, scfg); // ragged final batch
+
+    TrainConfig cfg;
+    cfg.epochs = 2;
+    cfg.batch = 5;
+    cfg.lr = 0.03;
+    cfg.seed = 19;
+    cfg.workers = 2;
+    cfg.calibrate = false; // keep the reference loop minimal
+
+    MultiChannelDonn ref_model = rgbModel(9, train.num_classes);
+    std::vector<Real> reference =
+        referenceSyncParallelLosses(ref_model, train, cfg, cfg.workers);
+
+    MultiChannelDonn model = rgbModel(9, train.num_classes);
+    RgbTask task(model, train);
     std::vector<EpochStats> history = Session(task, cfg).fit();
 
     ASSERT_EQ(history.size(), reference.size());

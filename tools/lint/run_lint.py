@@ -9,8 +9,9 @@ checks, with file/line diagnostics:
                        time jumps under NTP slew and breaks latency math).
   banned-function      rand()/strtok()/gets()/printf() in library code:
                        non-reentrant, or bypasses the logging layer.
-  deprecated-api       by-value propagation entry points (`x->forward(...)`
-                       on a propagation object) in src/core, src/optics,
+  deprecated-api       by-value propagation and Layer entry points
+                       (`x->forward/adjoint/backward/infer(...)` on a
+                       propagator or layer) in src/core, src/optics,
                        src/hardware, src/serve and bench/. New code uses
                        the zero-allocation *Into / *InPlace APIs.
   zero-alloc-hot-path  naked `Field` construction inside *Into / *InPlace
@@ -225,15 +226,16 @@ def rule_banned_function(ctx):
                 yield Violation("banned-function", ctx.rel, idx, why)
 
 
-# Receivers whose .forward()/.adjoint() are NOT propagation entry points:
-# FFT plans (FftPlan::forward is the transform itself) and the detector
-# head (Detector::forward is its canonical training-path name).
+# Receivers whose .forward()/.adjoint()/.backward() are NOT by-value
+# propagation or Layer entry points: FFT plans (FftPlan::forward is the
+# transform itself) and the detector head (DetectorPlane::forward/backward
+# are its canonical training-path names).
 DEPRECATED_API_RECEIVER_ALLOW = re.compile(
-    r"(fft|plan|inner|detector)", re.IGNORECASE)
+    r"(fft|plan|detector)", re.IGNORECASE)
 
 DEPRECATED_CALL_RE = re.compile(
     r"(?P<recv>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\.|->)\s*"
-    r"(?P<meth>forward|adjoint)\s*\(")
+    r"(?P<meth>forward|adjoint|backward|infer)\s*\(")
 
 DEPRECATED_API_SCOPES = ("src/core/", "src/optics/", "src/hardware/",
                          "src/serve/", "bench/")

@@ -41,8 +41,10 @@ class FixtureCorpusTest(unittest.TestCase):
         expected = [
             ("banned-function", "src/core/banned.cpp", 7),
             ("banned-function", "src/core/banned.cpp", 8),
-            ("deprecated-api", "src/core/api.cpp", 6),
-            ("deprecated-api", "src/core/api.cpp", 7),
+            ("deprecated-api", "src/core/api.cpp", 8),
+            ("deprecated-api", "src/core/api.cpp", 9),
+            ("deprecated-api", "src/core/api.cpp", 11),
+            ("deprecated-api", "src/core/api.cpp", 12),
             ("include-guard", "src/utils/guard.hpp", 1),
             ("include-guard", "src/utils/late_guard.hpp", 4),
             ("serve-steady-clock", "src/serve/clock.cpp", 6),
@@ -62,7 +64,7 @@ class FixtureCorpusTest(unittest.TestCase):
 
     def test_comments_and_strings_not_flagged(self):
         violations = fixture_violations(paths=("src/core/api.cpp",))
-        self.assertEqual([v.line for v in violations], [6, 7])
+        self.assertEqual([v.line for v in violations], [8, 9, 11, 12])
 
 
 class JsonReportTest(unittest.TestCase):
@@ -75,7 +77,7 @@ class JsonReportTest(unittest.TestCase):
                 data = json.load(fh)
         self.assertFalse(data["clean"])
         self.assertEqual(data["counts"]["banned-function"], 2)
-        self.assertEqual(data["counts"]["deprecated-api"], 2)
+        self.assertEqual(data["counts"]["deprecated-api"], 4)
         self.assertEqual(data["counts"]["include-guard"], 2)
         self.assertEqual(data["counts"]["serve-steady-clock"], 1)
         self.assertEqual(data["counts"]["zero-alloc-hot-path"], 3)
